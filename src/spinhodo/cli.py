@@ -158,18 +158,16 @@ def _analyze(sim, expected=None):
 
 # ----------------------------------------------------------------- artifacts
 
-def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
+_CSV_BLOCK_ROWS = 1024   # rows formatted per % operation; bounds the temporaries
 
 
 def _write_csv(path, header, columns):
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        n = len(columns[0])
-        for i in range(n):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        for r0 in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([col[r0:r0 + _CSV_BLOCK_ROWS] for col in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_artifacts(out_dir, sim, series, report, system):

@@ -6,6 +6,13 @@ event detection.
 Derivatives are 7-point finite differences on a uniform grid (Fornberg
 weights, shifted windows at the edges), which keeps the third derivative
 needed by the torsion at 4th-order accuracy without interpolation noise.
+
+Event detectors are vectorised over samples.  Loop detection tests chord
+pairs of the subsampled polyline with a great-circle predicate; a padded
+bounding-ball filter, evaluated in fixed-size tiles of chord pairs, keeps
+every pair that predicate can accept and passes only those to it.  The
+predicate itself is the unchanged per-pair arithmetic, so the events are
+exact, not an approximation of a brute-force pass over all pairs.
 """
 
 import math
@@ -27,6 +34,10 @@ _STENCIL = 7
 _POLE_RHO = 1e-4          # below this transverse radius phi and the rates are flagged
 _SPEED_FLOOR = 1e-6       # |p'| below this leaves curvature/torsion unreliable
 _TORSION_DEADBAND = 1e-12
+_TILE = 64                # chord pairs are filtered in _TILE x _TILE blocks
+_SHORT_ARC = 1e-10        # |a x b| below this: the arc gets no bounding ball
+_BALL_PAD = 1e-9          # covers the 1e-12 predicate slack and rounding
+_DOT_SLACK = 1e-14        # rounding of the centre dot products
 
 
 def fornberg_weights(z, x, m):
@@ -340,12 +351,11 @@ def detect_cusps(series, speed_factor=0.05, curvature_factor=50.0):
     k = series.curvature
     med_v = float(np.median(v))
     med_k = float(np.nanmedian(k))
-    events = []
-    for i in range(1, len(v) - 1):
-        if v[i] <= v[i - 1] and v[i] <= v[i + 1] and v[i] < speed_factor * med_v:
-            if np.isfinite(k[i]) and k[i] > curvature_factor * med_k:
-                events.append(CuspEvent(float(series.times[i]), float(v[i]), float(k[i])))
-    return events
+    vi, ki = v[1:-1], k[1:-1]
+    cusp = ((vi <= v[:-2]) & (vi <= v[2:]) & (vi < speed_factor * med_v)
+            & np.isfinite(ki) & (ki > curvature_factor * med_k))
+    return [CuspEvent(float(series.times[i]), float(v[i]), float(k[i]))
+            for i in np.flatnonzero(cusp) + 1]
 
 
 def count_torsion_sign_changes(torsion, deadband=_TORSION_DEADBAND):
@@ -358,27 +368,10 @@ def count_torsion_sign_changes(torsion, deadband=_TORSION_DEADBAND):
     """
     kap = np.asarray(torsion, dtype=float)
     kap = kap[np.isfinite(kap)]
-    if kap.size == 0:
-        return 0
-    if np.max(np.abs(kap)) <= deadband:
-        s = np.sign(kap)
-        s = s[s != 0]
-        return int(np.sum(s[1:] * s[:-1] < 0))
-    state = 0
-    count = 0
-    for x in kap:
-        s = 1 if x > deadband else (-1 if x < -deadband else 0)
-        if s != 0:
-            if state != 0 and s != state:
-                count += 1
-            state = s
-    return count
-
-
-def _arc_contains(a, b, n_hat, x, tol=1e-12):
-    # x assumed on the great circle of (a, b); test betweenness on the short arc
-    return (np.dot(np.cross(a, x), n_hat) >= -tol
-            and np.dot(np.cross(x, b), n_hat) >= -tol)
+    band = deadband if np.any(np.abs(kap) > deadband) else 0.0
+    s = np.sign(kap) * (np.abs(kap) > band)
+    s = s[s != 0]
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def detect_loops(times, p, max_segments=1500, guard=3):
@@ -386,8 +379,17 @@ def detect_loops(times, p, max_segments=1500, guard=3):
 
     The polyline is subsampled to at most `max_segments` chords; two chords
     intersect when the line of their great-circle planes pierces both short
-    arcs.  Chord pairs closer than `guard` segments (cyclically, when the
-    trajectory is closed) are excluded.
+    arcs (tested for both directions of the line, with a 1e-12 slack).
+    Chord pairs closer than `guard` segments (cyclically, when the trajectory
+    is closed) are excluded.  Events are ordered by the first chord, then the
+    direction (+ before -), then the second chord.
+
+    Each chord is bounded by a ball around its arc, padded beyond the
+    predicate's slack and rounding, and only pairs whose balls overlap are
+    passed to the predicate.  The filter keeps every pair the predicate can
+    accept and the predicate is unchanged, so the result is exact.  Pairs
+    are filtered in fixed-size tiles, which bounds the temporaries whatever
+    the number of chords.
     """
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -405,34 +407,79 @@ def detect_loops(times, p, max_segments=1500, guard=3):
     normals = np.cross(a, b)
     nlen = np.linalg.norm(normals, axis=1)
     ok = nlen > 1e-14
-    events = []
-    for i in range(m - guard - 1):
-        if not ok[i]:
-            continue
-        j0 = i + guard + 1
-        js = np.arange(j0, m)
-        if closed and i < guard:  # cyclic neighbourhood of the seam
-            js = js[js < m - (guard - i)]
-        if len(js) == 0:
-            continue
-        js = js[ok[js]]
-        if len(js) == 0:
-            continue
-        line = np.cross(normals[i], normals[js])
-        llen = np.linalg.norm(line, axis=1)
-        good = llen > 1e-14
-        if not np.any(good):
-            continue
-        js = js[good]
-        x = line[good] / llen[good, None]
-        n1 = normals[i] / nlen[i]
-        n2 = normals[js] / nlen[js, None]
-        for sign in (1.0, -1.0):
-            xs = sign * x
-            in1 = (np.einsum("ij,j->i", np.cross(np.broadcast_to(a[i], xs.shape), xs), n1) >= -1e-12) \
-                & (np.einsum("ij,j->i", np.cross(xs, np.broadcast_to(b[i], xs.shape)), n1) >= -1e-12)
-            in2 = (np.einsum("ij,ij->i", np.cross(a[js], xs), n2) >= -1e-12) \
-                & (np.einsum("ij,ij->i", np.cross(xs, b[js]), n2) >= -1e-12)
-            for jj in np.flatnonzero(in1 & in2):
-                events.append(LoopEvent(float(tq[i]), float(tq[js[jj]])))
-    return events
+    centre, radius = _chord_balls(a, b, nlen)
+
+    hits = []
+    last_row = m - guard - 1
+    for r0 in range(0, last_row, _TILE):
+        rows = np.arange(r0, min(r0 + _TILE, last_row))
+        for c0 in range(r0 + guard + 1, m, _TILE):
+            cols = np.arange(c0, min(c0 + _TILE, m))
+            gap = cols - rows[:, None]
+            reach = radius[rows, None] + radius[cols]
+            keep = centre[rows] @ centre[cols].T >= 1.0 - 0.5 * reach * reach - _DOT_SLACK
+            keep &= (gap > guard) & ok[rows, None] & ok[cols]
+            if closed:  # cyclic neighbourhood of the seam
+                keep &= gap < m - guard
+            ii, jj = np.nonzero(keep)
+            if ii.size:
+                hits.append(_piercings(a, b, normals, nlen, rows[ii], cols[jj]))
+    if not hits:
+        return []
+    i, sign, j = np.concatenate(hits, axis=1)
+    order = np.lexsort((j, sign, i))
+    return [LoopEvent(float(tq[i[k]]), float(tq[j[k]])) for k in order]
+
+
+def _chord_balls(a, b, nlen):
+    """Centre and radius of a ball around each chord's short arc a -> b,
+    holding every point the piercing predicate can accept on that chord.
+
+    An accepted point lies within the predicate's slack of the arc between
+    the projections of a and b on the plane of the computed normal, up to
+    its own distance from that plane.  The pad bounds both departures:
+
+    * the computed normal a x b is off by at most 3.2e-16, which tilts it
+      by 3.2e-16/|a x b|; the endpoints and the centre move by 3.5 times
+      that at most (the 2e-15/|a x b| term);
+    * the piercing direction is the normalised cross product of the two
+      normals N_i, N_j; its error of 3.2e-16 |N_i||N_j| over a length of at
+      least 1e-14 can put it 0.032 |N_i||N_j| off both planes, which the two
+      balls cover with 0.032 (|N_i|^2 + |N_j|^2) (the 0.04 |N|^2 term);
+    * the 1e-9 floor covers the slack and the rounding of centre and radius.
+
+    Arcs shorter than _SHORT_ARC (below about 2e-12 the slack also admits
+    the antipode) and arcs wider than a right angle get an infinite radius,
+    so they are candidates against every chord.
+    """
+    mid = a + b
+    bounded = (nlen >= _SHORT_ARC) & (np.einsum("ij,ij->i", a, b) > 0.0)
+    centre = mid / np.where(bounded, np.linalg.norm(mid, axis=1), 1.0)[:, None]
+    pad = _BALL_PAD + 2e-15 / np.maximum(nlen, _SHORT_ARC) + 0.04 * nlen * nlen
+    radius = np.where(bounded, np.linalg.norm(a - centre, axis=1) + pad, np.inf)
+    return centre, radius
+
+
+def _piercings(a, b, normals, nlen, i, j):
+    """Chord pairs (i, j) whose plane-intersection line pierces both short
+    arcs, as rows (i, sign index, j) with sign index 0 for +x, 1 for -x.
+
+    Each pair gets the arithmetic of testing one chord against many: the
+    same elementwise operations and einsum dot products, so the same bits.
+    """
+    line = np.cross(normals[i], normals[j])
+    llen = np.linalg.norm(line, axis=1)
+    good = llen > 1e-14
+    i, j = i[good], j[good]
+    x = line[good] / llen[good, None]
+    n1 = normals[i] / nlen[i, None]
+    n2 = normals[j] / nlen[j, None]
+    found = []
+    for s, sign in enumerate((1.0, -1.0)):
+        xs = sign * x
+        inside = (np.einsum("ij,ij->i", np.cross(a[i], xs), n1) >= -1e-12) \
+            & (np.einsum("ij,ij->i", np.cross(xs, b[i]), n1) >= -1e-12) \
+            & (np.einsum("ij,ij->i", np.cross(a[j], xs), n2) >= -1e-12) \
+            & (np.einsum("ij,ij->i", np.cross(xs, b[j]), n2) >= -1e-12)
+        found.append(np.stack([i[inside], np.full(np.count_nonzero(inside), s), j[inside]]))
+    return np.concatenate(found, axis=1)

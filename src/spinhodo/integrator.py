@@ -52,7 +52,8 @@ _PI_BETA = 0.4 / 5.0
 
 
 class IntegrationError(RuntimeError):
-    """Raised on step underflow; carries the last successfully reached time."""
+    """Raised on step underflow or a non-finite step; carries the last
+    successfully reached time."""
 
     def __init__(self, message, last_time):
         super().__init__(f"{message} (last good time t={last_time:.6g})")
@@ -172,7 +173,9 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
 
         y_new, err, k = _step(rhs, t, y, f0, h_try, direction)
         errn = _error_norm(err, y, y_new, cfg)
-        if errn > 1.0:
+        if not errn <= 1.0:  # also catches NaN, which compares False
+            if not np.isfinite(errn):
+                raise IntegrationError("non-finite error estimate", t)
             n_rejected += 1
             h = h_try * max(_MIN_FACTOR, _SAFETY * errn ** (-_PI_ALPHA))
             continue

@@ -1,8 +1,11 @@
 """CLI artifact and interface tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+from spinhodo import cli
 from spinhodo.cli import (UnsupportedAnalytic, closure_search, default_config,
                           main, run_preset, simulate)
 from spinhodo.integrator import IntegratorConfig
@@ -56,6 +59,51 @@ def test_report_is_deterministic(fig5_run, tmp_path):
     run_preset("fig5", out_dir=again)
     assert (again / "report.json").read_text() == (out / "report.json").read_text()
     assert (again / "trajectory.csv").read_text() == (out / "trajectory.csv").read_text()
+
+
+def _write_csv_per_cell(path, header, columns):
+    """Reference CSV writer: one cell formatted at a time."""
+    def fmt(x):
+        if isinstance(x, float) and math.isnan(x):
+            return "nan"
+        return format(float(x), ".17g")
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(columns[0])):
+            fh.write(",".join(fmt(col[i]) for col in columns) + "\n")
+
+
+@pytest.mark.parametrize("preset", ["fig5", "fig8"])   # qubit, qutrit
+def test_csv_writer_matches_per_cell_reference(preset, tmp_path, monkeypatch):
+    written = []
+    write_csv = cli._write_csv
+
+    def write_both(path, header, columns):
+        write_csv(path, header, columns)
+        ref = path.with_suffix(".ref")
+        _write_csv_per_cell(ref, header, columns)
+        written.append((path, ref))
+
+    monkeypatch.setattr(cli, "_write_csv", write_both)
+    run_preset(preset, out_dir=tmp_path)
+    assert [p.name for p, _ in written] == ["geometry.csv", "trajectory.csv"]
+    for path, ref in written:
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_csv_writer_special_values(tmp_path):
+    # non-finite values, signed zeros and subnormals, over several row blocks
+    rng = np.random.default_rng(3)
+    n = 2 * cli._CSV_BLOCK_ROWS + 17
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+                        -2.2250738585072014e-308, 1.0, 1 / 3, 1e300, 0.1])
+    columns = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
+               special[rng.integers(0, len(special), size=n)],
+               (rng.random(n) < 0.5).astype(float)]
+    cli._write_csv(tmp_path / "block.csv", ["a", "b", "c"], columns)
+    _write_csv_per_cell(tmp_path / "cell.csv", ["a", "b", "c"], columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
 def test_caption_checks_recorded(fig5_run):

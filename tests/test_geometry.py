@@ -2,14 +2,15 @@
 resonance closed forms, osculating-sphere identity, event detectors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinhodo.geometry import (adjoining_sphere_residual, angular_velocities,
-                               count_torsion_sign_changes, curvature_rate,
-                               detect_cusps, detect_loops, fd_derivative,
-                               fornberg_weights, frenet_geometry,
+from spinhodo.geometry import (LoopEvent, adjoining_sphere_residual,
+                               angular_velocities, count_torsion_sign_changes,
+                               curvature_rate, detect_cusps, detect_loops,
+                               fd_derivative, fornberg_weights, frenet_geometry,
                                resonance_geometry, spherical_angles)
 from spinhodo.qubit import (FieldParams, InitialAngles, analytic_rabi_general,
                             field_at)
@@ -284,6 +285,115 @@ def test_loops_present_with_interfering_precession():
 def test_no_loops_on_slow_resonance():
     ts, R = resonance_trajectory(0.5, 0.2, 4001)
     assert detect_loops(ts, R) == []
+
+
+def _detect_loops_reference(times, p, max_segments=1500, guard=3):
+    """Brute-force loop detector: each chord against all later chords."""
+    times = np.asarray(times, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = len(p)
+    stride = max(1, int(math.ceil((n - 1) / max_segments)))
+    idx = np.arange(0, n, stride)
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
+    q = p[idx]
+    tq = times[idx]
+    m = len(q) - 1
+    closed = np.linalg.norm(q[0] - q[-1]) < 1e-6
+
+    a, b = q[:-1], q[1:]
+    normals = np.cross(a, b)
+    nlen = np.linalg.norm(normals, axis=1)
+    ok = nlen > 1e-14
+    events = []
+    for i in range(m - guard - 1):
+        if not ok[i]:
+            continue
+        j0 = i + guard + 1
+        js = np.arange(j0, m)
+        if closed and i < guard:  # cyclic neighbourhood of the seam
+            js = js[js < m - (guard - i)]
+        if len(js) == 0:
+            continue
+        js = js[ok[js]]
+        if len(js) == 0:
+            continue
+        line = np.cross(normals[i], normals[js])
+        llen = np.linalg.norm(line, axis=1)
+        good = llen > 1e-14
+        if not np.any(good):
+            continue
+        js = js[good]
+        x = line[good] / llen[good, None]
+        n1 = normals[i] / nlen[i]
+        n2 = normals[js] / nlen[js, None]
+        for sign in (1.0, -1.0):
+            xs = sign * x
+            in1 = (np.einsum("ij,j->i", np.cross(np.broadcast_to(a[i], xs.shape), xs), n1) >= -1e-12) \
+                & (np.einsum("ij,j->i", np.cross(xs, np.broadcast_to(b[i], xs.shape)), n1) >= -1e-12)
+            in2 = (np.einsum("ij,ij->i", np.cross(a[js], xs), n2) >= -1e-12) \
+                & (np.einsum("ij,ij->i", np.cross(xs, b[js]), n2) >= -1e-12)
+            for jj in np.flatnonzero(in1 & in2):
+                events.append(LoopEvent(float(tq[i]), float(tq[js[jj]])))
+    return events
+
+
+def degenerate_polyline():
+    """A looping trajectory with a kink through the midpoint X of a far
+    chord, a 1e-13 chord starting at X, and repeated samples."""
+    ts, p = rabi_unit_trajectory(ACOS13, 0.0, -0.6, 0.45, 3.0, 3, 1200)
+    mid = p[700] + p[701]
+    x = mid / np.linalg.norm(mid)
+    u = np.cross(x, [0.0, 0.0, 1.0])
+    p[100] = x
+    p[101] = x + 1e-13 * u / np.linalg.norm(u)
+    p[101] /= np.linalg.norm(p[101])
+    p[103] = p[102]
+    p[400:403] = p[399]
+    return ts, p
+
+
+def zigzag_polyline(n):
+    """Chords zigzagging across a 0.02 rad strip, each a little above the
+    last: every pair of bounding balls overlaps, yet no chords cross."""
+    k = np.arange(n)
+    v = np.stack([np.where(k % 2 == 0, -0.01, 0.01), 1e-6 * k, np.ones(n)], axis=1)
+    return np.linspace(0.0, 1.0, n), v / np.linalg.norm(v, axis=1)[:, None]
+
+
+LOOP_CASES = {
+    "interfering": lambda: rabi_unit_trajectory(ACOS13, 0.0, -0.6, 0.45, 3.0, 7, 7001),
+    # one resonant Rabi period ends where it started, at the pole: closed,
+    # and the seam rule drops the first and last chords, which meet there
+    "closed": lambda: resonance_trajectory(0.5, 2.0, 3001),
+    # 4001 samples: stride 3, with the last sample appended
+    "strided": lambda: rabi_unit_trajectory(ACOS13, 0.3, -0.6, 0.45, 3.0, 5, 4001),
+    "degenerate": degenerate_polyline,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_loops_match_brute_force(case):
+    ts, p = LOOP_CASES[case]()
+    for max_segments, guard in ((1500, 3), (400, 0)):
+        events = detect_loops(ts, p, max_segments, guard)
+        assert events, "each case has self-intersections"
+        assert events == _detect_loops_reference(ts, p, max_segments, guard)
+
+
+@pytest.mark.parametrize("polyline", [
+    lambda: rabi_unit_trajectory(ACOS13, 0.0, -0.6, 0.45, 3.0, 7, 1501),
+    lambda: zigzag_polyline(1501),
+], ids=["interfering", "all-pairs-candidates"])
+def test_detect_loops_memory_is_bounded(polyline):
+    ts, p = polyline()
+    tracemalloc.start()
+    try:
+        detect_loops(ts, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_energy_peaks_at_cusps():

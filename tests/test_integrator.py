@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinhodo.integrator import (IntegratorConfig, Trajectory, integrate,
-                                 resample_uniform)
+from spinhodo.integrator import (IntegrationError, IntegratorConfig, Trajectory,
+                                 integrate, resample_uniform)
 
 
 def decay_rhs(t, y):
@@ -79,6 +79,14 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_step=-1.0)
+
+
+def test_non_finite_step_rejected():
+    # NaN compares False with the acceptance threshold; such a step must raise
+    from spinhodo.qubit import DampingParams, FieldParams, make_bloch_rhs
+    rhs = make_bloch_rhs(FieldParams.circular(0.5, math.nan, 1.0), DampingParams())
+    with pytest.raises(IntegrationError, match="non-finite error estimate.*t=0"):
+        integrate(rhs, np.array([0.0, 0.0, 1.0]), (0.0, 5.0), n_out=11)
 
 
 def test_empty_span_rejected():
