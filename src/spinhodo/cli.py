@@ -28,9 +28,8 @@ from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     make_bloch_rhs)
 from .qutrit import (AnisotropyParams, analytic_qutrit_resonance,
                      bloch8_from_density, closed_trajectory_amplitude_qutrit,
-                     density_to_real, evolve_density, initial_density_north,
-                     make_qutrit_rhs_real, polarization_series,
-                     qutrit_hamiltonian)
+                     evolve_density, initial_density_north,
+                     make_qutrit_rhs_real, polarization_series, qutrit_energy)
 
 __all__ = ["run_preset", "simulate", "closure_search", "main", "UnsupportedAnalytic"]
 
@@ -58,7 +57,7 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
     if np.min(lengths) < 1e-12:
         raise RuntimeError("coherence vector collapsed to zero; no direction")
     p = R / lengths[:, None]
-    fields = np.array([field_at(t, fp) for t in traj.times])
+    fields = field_at(traj.times, fp)
     energy = 0.5 * np.einsum("ij,ij->i", fields, R)
     return {
         "times": traj.times, "R": R, "p": p, "energy": energy,
@@ -68,9 +67,9 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
 
 
 def _simulate_qutrit(fp, ap, duration, cfg, n_out):
-    times, rhos, traj = evolve_density(fp, ap, initial_density_north(), duration,
-                                       cfg=cfg, n_out=n_out)
-    qs = np.array([bloch8_from_density(r) for r in rhos])
+    times, _, traj = evolve_density(fp, ap, initial_density_north(), duration,
+                                    cfg=cfg, n_out=n_out)
+    qs = traj.states
     p = polarization_series(qs)
     if np.any(~np.isfinite(p)):
         raise RuntimeError("polarization direction undefined on the grid "
@@ -80,13 +79,11 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
     pops = np.stack([(2.0 + r6q3 + r2q6) / 6.0,
                      (1.0 - r2q6) / 3.0,
                      (2.0 - r6q3 + r2q6) / 6.0], axis=1)
-    energy = np.array([np.real(np.trace(rhos[i] @ qutrit_hamiltonian(times[i], fp, ap)))
-                       for i in range(len(times))])
-    fields = np.array([field_at(t, fp) for t in times])
+    fields = field_at(times, fp)
     return {
-        "times": times, "q": qs, "p": p, "energy": energy,
+        "times": times, "q": qs, "p": p, "energy": qutrit_energy(qs, fields, ap),
         "populations": pops, "q_length": np.linalg.norm(qs, axis=1),
-        "fields": fields, "rhos": rhos, "traj": traj,
+        "fields": fields, "traj": traj,
     }
 
 
@@ -396,9 +393,10 @@ def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
                 ap = AnisotropyParams(Q=Q, d=d)
                 n = max(64, int(points_per_period * x)) + 1
                 rhs = make_qutrit_rhs_real(fp, ap)
-                traj = resample_uniform(rhs, n, y0=density_to_real(initial_density_north()),
+                traj = resample_uniform(rhs, n, y0=bloch8_from_density(initial_density_north()),
                                         t_span=(0.0, period), cfg=cfg)
-                residual = float(np.linalg.norm(traj.states[-1] - traj.states[0]))
+                # |q(T) - q(0)|/sqrt(3) is the Frobenius distance of rho(T), rho(0)
+                residual = float(np.linalg.norm(traj.states[-1] - traj.states[0])) / math.sqrt(3.0)
             rows.append({"x": x, "y": y, "h": h, "residual": residual,
                          "feasible": True, "period": period})
     return rows

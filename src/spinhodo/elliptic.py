@@ -25,6 +25,8 @@ __all__ = [
 # for any k in (0, 1); the bound only guards pathological float input.
 _AGM_EPS = 1.0e-10
 _AGM_MAX_ITER = 32
+# below this |u|, u^2/2 < 5e-17 and (u, 1, 1) is sn, cn, dn to rounding
+_SMALL_U = 1.0e-8
 
 # 16-point Gauss-Legendre rule on [-1, 1]; panels of width <= pi/8 push the
 # quadrature error for the smooth arc-length integrand below 1e-15.
@@ -55,6 +57,10 @@ def jacobi_sncndn(u, k):
     if k == 1.0:
         sech = 1.0 / math.cosh(u)
         return math.tanh(u), sech, sech
+    if abs(u) < _SMALL_U:
+        # the back substitution divides by sn and overflows for |u| below
+        # about 1e-154; here the Taylor terms past (u, 1, 1) are under half an ulp
+        return u, 1.0, 1.0
 
     # descending AGM ladder; em/en record the scale for the back substitution
     mc = (1.0 - k) * (1.0 + k)  # complementary parameter 1 - k^2

@@ -1,8 +1,8 @@
 """Error-controlled ODE integration with dense, uniform output.
 
 A Dormand-Prince 5(4) embedded pair with PI step-size control drives both
-the 3-component coherence-vector system and the flattened 3x3 density
-matrix (18 real components).  Two output modes are provided:
+linear systems: the 3-component qubit coherence vector and the
+8-component qutrit coherence vector.  Two output modes are provided:
 
 * :func:`integrate` - adaptive stepping, output grid filled by the
   standard 4th-order continuous extension of the pair;
@@ -11,6 +11,8 @@ matrix (18 real components).  Two output modes are provided:
   geometry wants.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -68,10 +70,16 @@ class IntegratorConfig:
     output_points_per_period: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not self.max_step > 0:   # NaN compares False; inf (no limit) is allowed
+            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
+        if not (isinstance(self.output_points_per_period, numbers.Integral)
+                and self.output_points_per_period >= 1):
+            raise ValueError("output_points_per_period must be an integer >= 1, "
+                             f"got {self.output_points_per_period!r}")
 
 
 @dataclass

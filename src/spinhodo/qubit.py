@@ -53,6 +53,10 @@ class FieldParams:
     mode: FieldMode = FieldMode.CIRCULAR
 
     def __post_init__(self):
+        for name in ("h1", "h2", "H", "omega"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (0.0 <= self.k <= 1.0):
             raise ValueError(f"elliptic modulus must lie in [0, 1], got {self.k}")
         if self.mode is FieldMode.CIRCULAR:
@@ -123,12 +127,15 @@ class InitialAngles:
 
 
 def field_at(t, fp):
-    """Drive field vector at time t (3-array)."""
+    """Drive field at time t: shape (3,) for a scalar t, (..., 3) for an
+    array of times."""
+    wt = fp.omega * np.asarray(t, dtype=float)
     if fp.k == 0.0:
-        c, s = math.cos(fp.omega * t), math.sin(fp.omega * t)
-        return np.array([fp.h1 * c, fp.h2 * s, fp.H])
-    sn, cn, dn = jacobi_sncndn(fp.omega * t, fp.k)
-    return np.array([fp.h1 * cn, fp.h2 * sn, fp.H * dn])
+        sn, cn, dn = np.sin(wt), np.cos(wt), 1.0
+    else:  # jacobi_sncndn is scalar; map it over the grid
+        sn, cn, dn = np.vectorize(lambda u: jacobi_sncndn(u, fp.k),
+                                  otypes=[float, float, float])(wt)
+    return np.stack(np.broadcast_arrays(fp.h1 * cn, fp.h2 * sn, fp.H * dn), axis=-1)
 
 
 def bloch_rhs(t, R, fp, dp):

@@ -1,6 +1,6 @@
-"""Spin-1 dynamics: anisotropic Hamiltonian, unitary density-matrix
-evolution, generalized 8-component coherence vector, level populations,
-polarization direction, and the exact resonance solution.
+"""Spin-1 dynamics: anisotropic Hamiltonian, unitary evolution of the
+generalized 8-component coherence vector, level populations, polarization
+direction, and the exact resonance solution.
 
 The density matrix is expanded as rho = E/3 + (1/3) sum_a q_a L_a over a
 fixed Hermitian basis with Tr(L_a L_b) = 3 delta_ab.  The first three
@@ -8,6 +8,11 @@ elements are the (scaled) spin components; the quadrupole elements are
 ordered and signed so that the exact resonance solution comes out
 component-for-component (a calibration test pins this down).  A pure state
 has |q| = sqrt(2).
+
+In this basis the Liouville equation rho' = -i[H, rho] is the real linear
+system q' = M(t) q.  Every term of H is a constant operator times a scalar,
+so M(t) is the same combination of fixed 8x8 generators, built once at
+import; each generator is antisymmetric, which conserves |q|.
 """
 
 import math
@@ -15,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import jacobi_sncndn
 from .integrator import IntegratorConfig, resample_uniform
 from .qubit import field_at
 
 __all__ = [
     "S1", "S2", "S3", "LAMBDA8", "AnisotropyParams", "Populations",
     "qutrit_hamiltonian", "qutrit_rhs", "make_qutrit_rhs_real",
-    "bloch8_from_density", "populations", "qutrit_polarization",
+    "qutrit_energy", "bloch8_from_density", "populations", "qutrit_polarization",
     "polarization_series", "analytic_qutrit_resonance",
     "closed_trajectory_amplitude_qutrit", "evolve_density",
     "initial_density_north", "two_photon_frequency",
@@ -49,6 +55,16 @@ LAMBDA8 = np.stack([
     _SQRT32 * (S1 @ S3 + S3 @ S1),
     _SQRT32 * _QUAD_D,
 ])
+
+# The operators multiplying h1, h2, h3, Q and d in the Hamiltonian.
+_OPS = np.stack([S1, S2, S3, _QUAD_Q, _QUAD_D])
+# Generator of each: rho' = -i[A, rho] is q' = G q with
+# G_ab = Tr(-i[A, L_b] L_a)/3 = (T_ab - T_ba)/3, T_ab = Tr(-i A L_b L_a),
+# so every G is antisymmetric in floating point too.
+_GEN = np.einsum('xij,bjk,aki->xab', -1j * _OPS, LAMBDA8, LAMBDA8).real
+_GEN = (_GEN - _GEN.transpose(0, 2, 1)) / 3.0
+# Tr(L_a A) of each operator: H = sum_x w_x A_x has Tr(L_a H) = w . _TRACES.
+_TRACES = np.einsum('aij,xji->xa', LAMBDA8, _OPS).real
 
 
 @dataclass(frozen=True)
@@ -93,38 +109,39 @@ def qutrit_rhs(t, rho, fp, ap):
 
 
 def make_qutrit_rhs_real(fp, ap):
-    """Flattened real-vector (dim 18) form of the unitary evolution.
+    """Coherence-vector form q' = M(t) q of the unitary evolution (dim 8).
 
-    The complex 3x3 matrix is carried as [Re(rho).ravel(), Im(rho).ravel()]
-    so the real-valued integrator can drive it.
+    M(t) = h1(t) G1 + h2(t) G2 + h3(t) G3 + Q G_Q + d G_D; the constant
+    terms are summed once, and each call weights the stacked generators by
+    the field and applies the result to q.
     """
-    static = ap.Q * _QUAD_Q + ap.d * _QUAD_D
-    w, k, a1, a2, Hl = fp.omega, fp.k, fp.h1, fp.h2, fp.H
+    g1, g2, g3, gq, gd = _GEN.reshape(5, 64)
+    w, k = fp.omega, fp.k
+    static = ap.Q * gq + ap.d * gd
     if k == 0.0:
-        def hamil(t):
-            return (a1 * math.cos(w * t)) * S1 + (a2 * math.sin(w * t)) * S2 + Hl * S3 + static
+        gens = np.stack([static + fp.H * g3, fp.h1 * g1, fp.h2 * g2])
+
+        def rhs(t, q):
+            return (np.array((1.0, math.cos(w * t), math.sin(w * t))) @ gens).reshape(8, 8) @ q
     else:
-        from .elliptic import jacobi_sncndn
+        gens = np.stack([static, fp.h1 * g1, fp.h2 * g2, fp.H * g3])
 
-        def hamil(t):
+        def rhs(t, q):
             sn, cn, dn = jacobi_sncndn(w * t, k)
-            return (a1 * cn) * S1 + (a2 * sn) * S2 + (Hl * dn) * S3 + static
-
-    def rhs(t, y):
-        rho = (y[:9] + 1j * y[9:]).reshape(3, 3)
-        H = hamil(t)
-        drho = -1j * (H @ rho - rho @ H)
-        return np.concatenate([drho.real.ravel(), drho.imag.ravel()])
+            return (np.array((1.0, cn, sn, dn)) @ gens).reshape(8, 8) @ q
 
     return rhs
 
 
-def density_to_real(rho):
-    return np.concatenate([rho.real.ravel(), rho.imag.ravel()])
+def qutrit_energy(q, fields, ap):
+    """Mean energy Tr(rho H) of coherence vector(s) q in drive field(s) h.
 
-
-def real_to_density(y):
-    return (y[:9] + 1j * y[9:]).reshape(3, 3)
+    Every term of H is traceless, so Tr(rho H) = q . c / 3 with
+    c_a = Tr(L_a H).  Takes q of shape (8,) or (n, 8) with fields of shape
+    (3,) or (n, 3), as returned by :func:`field_at`.
+    """
+    c = np.asarray(fields) @ _TRACES[:3] + ap.Q * _TRACES[3] + ap.d * _TRACES[4]
+    return np.einsum('...a,...a->...', q, c) / 3.0
 
 
 def bloch8_from_density(rho):
@@ -229,19 +246,17 @@ def closed_trajectory_amplitude_qutrit(x, y, Q, d=0.0, sign=1.0):
 def evolve_density(fp, ap, rho0, t_final, cfg=None, n_out=None):
     """Integrate the unitary evolution; return (times, rhos, trajectory).
 
-    Output densities are re-symmetrized; the Hermiticity drift before
-    symmetrization must stay below 1e-12 or this raises.
+    The integrated state is the coherence vector: the trajectory's states
+    are q, shape (n, 8).  Each output density is rebuilt from it as
+    rho = (Tr(rho0) E + sum_a q_a L_a)/3, Hermitian by construction.
     """
     cfg = cfg or IntegratorConfig()
     if n_out is None:
         n_out = cfg.output_points_per_period + 1
     rhs = make_qutrit_rhs_real(fp, ap)
-    traj = resample_uniform(rhs, n_out, y0=density_to_real(rho0), t_span=(0.0, t_final), cfg=cfg)
-    rhos = traj.states[:, :9].reshape(-1, 3, 3) + 1j * traj.states[:, 9:].reshape(-1, 3, 3)
-    drift = np.max(np.abs(rhos - np.conj(np.transpose(rhos, (0, 2, 1)))))
-    if drift > 1e-12:
-        raise RuntimeError(f"Hermiticity drift {drift:.2e} exceeds 1e-12")
-    rhos = 0.5 * (rhos + np.conj(np.transpose(rhos, (0, 2, 1))))
+    traj = resample_uniform(rhs, n_out, y0=bloch8_from_density(rho0),
+                            t_span=(0.0, t_final), cfg=cfg)
+    rhos = (np.trace(rho0).real * _E3 + np.einsum('na,aij->nij', traj.states, LAMBDA8)) / 3.0
     return traj.times, rhos, traj
 
 

@@ -56,6 +56,17 @@ def test_sncndn_against_scipy(k):
         assert abs(dn - rd) < 1e-12
 
 
+@pytest.mark.parametrize("k", [0.5, 0.999])
+@pytest.mark.parametrize("u", [1e-300, -1e-200, 1e-160, 1e-120, 3e-9, 2e-8, 1e-6])
+def test_sncndn_tiny_argument(u, k):
+    # the AGM back substitution divides by sn(u), which overflows for tiny u
+    sn, cn, dn = jacobi_sncndn(u, k)
+    rs, rc, rd, _ = ellipj(u, k * k)
+    assert sn == pytest.approx(rs, rel=1e-15, abs=0.0)
+    assert cn == pytest.approx(rc, abs=1e-15)
+    assert dn == pytest.approx(rd, abs=1e-15)
+
+
 def test_quarter_period_shift():
     # oracle: K from direct quadrature of the defining integral
     k = 0.8

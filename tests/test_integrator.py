@@ -81,10 +81,29 @@ def test_config_validation():
         IntegratorConfig(max_step=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", math.nan), ("rel_tol", math.inf), ("abs_tol", math.nan),
+    ("abs_tol", math.inf), ("max_step", math.nan),
+    ("output_points_per_period", 0), ("output_points_per_period", -5),
+    ("output_points_per_period", 2.5),
+])
+def test_config_rejects_bad_setting_by_name(field, value):
+    # every comparison with NaN is False, so a bare `<= 0` check lets it through
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        IntegratorConfig(**{field: value})
+
+
+def test_config_keeps_unlimited_max_step():
+    assert IntegratorConfig().max_step == math.inf
+    assert IntegratorConfig(max_step=0.5, output_points_per_period=1).max_step == 0.5
+
+
 def test_non_finite_step_rejected():
-    # NaN compares False with the acceptance threshold; such a step must raise
-    from spinhodo.qubit import DampingParams, FieldParams, make_bloch_rhs
-    rhs = make_bloch_rhs(FieldParams.circular(0.5, math.nan, 1.0), DampingParams())
+    # NaN compares False with the acceptance threshold; such a step must raise.
+    # The field parameters reject NaN themselves, so the NaN comes from the rhs.
+    def rhs(t, y):
+        return math.nan * y
+
     with pytest.raises(IntegrationError, match="non-finite error estimate.*t=0"):
         integrate(rhs, np.array([0.0, 0.0, 1.0]), (0.0, 5.0), n_out=11)
 

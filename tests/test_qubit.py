@@ -50,6 +50,33 @@ def test_field_mode_invariants():
         FieldParams(0.5, 0.4, 0.1, 1.0, 0.3, FieldMode.ELLIPTIC)   # h1 != h2
 
 
+@pytest.mark.parametrize("fp", [
+    FieldParams.circular(0.7, 0.3, 1.1),
+    FieldParams.linear(-0.4, 0.2, 0.8),
+    FieldParams.elliptic(0.5, 0.3, 0.7, 0.6),
+    FieldParams.elliptic(0.5, 0.3, 0.7, 1.0),
+], ids=["circular", "linear", "k0.6", "k1"])
+def test_field_array_matches_scalar_calls(fp):
+    ts = np.linspace(-3.0, 40.0, 257)
+    stacked = np.array([field_at(t, fp) for t in ts])
+    assert field_at(ts, fp).shape == (len(ts), 3)
+    assert np.allclose(field_at(ts, fp), stacked, rtol=1e-15, atol=0.0)
+    assert field_at(0.4, fp).shape == (3,)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("h1", lambda v: FieldParams.circular(v, 0.2, 1.0)),
+    ("h2", lambda v: FieldParams(0.5, v, 0.2, 1.0, 0.3, FieldMode.ELLIPTIC)),
+    ("H", lambda v: FieldParams.circular(0.5, v, 1.0)),
+    ("H", lambda v: FieldParams.elliptic(0.5, v, 1.0, 0.6)),
+    ("omega", lambda v: FieldParams.linear(0.5, 0.2, v)),
+], ids=["h1-circular", "h2-elliptic", "H-circular", "H-elliptic", "omega-linear"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_field_params_reject_non_finite_by_name(name, make, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(value)
+
+
 def test_damping_validation():
     with pytest.raises(ValueError):
         DampingParams(-0.1, 0.0, 0.0)

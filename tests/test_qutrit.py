@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinhodo.qubit import FieldParams
+from spinhodo.qubit import FieldParams, field_at
 from spinhodo.qutrit import (LAMBDA8, AnisotropyParams, S1, S2, S3,
                              analytic_qutrit_resonance, bloch8_from_density,
                              closed_trajectory_amplitude_qutrit, evolve_density,
-                             initial_density_north, populations,
-                             polarization_series, qutrit_hamiltonian,
+                             initial_density_north, make_qutrit_rhs_real,
+                             populations, polarization_series,
+                             qutrit_energy, qutrit_hamiltonian,
                              qutrit_polarization, qutrit_rhs,
                              two_photon_frequency)
 
@@ -77,6 +80,75 @@ def test_rhs_traceless_hermitian():
     out = qutrit_rhs(0.5, rho, fp, AnisotropyParams(Q=0.5, d=0.2))
     assert abs(np.trace(out)) < 1e-14
     assert np.allclose(out, out.conj().T)
+
+
+def random_density(rng):
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+DRIVES = [FieldParams.circular(0.4, 0.7, 1.1), FieldParams.linear(-0.6, 0.3, 0.9),
+          FieldParams.elliptic(0.5, 0.8, 0.7, 0.6)]
+
+
+@pytest.mark.parametrize("fp", DRIVES, ids=["circular", "linear", "k0.6"])
+def test_generator_rhs_matches_liouville(fp):
+    ap = AnisotropyParams(Q=0.8, d=-0.35)
+    rhs = make_qutrit_rhs_real(fp, ap)
+    rng = np.random.default_rng(5)
+    for t in (0.0, 1.3, -4.2, 17.9):
+        rho = random_density(rng)
+        expect = bloch8_from_density(qutrit_rhs(t, rho, fp, ap))
+        assert np.max(np.abs(rhs(t, bloch8_from_density(rho)) - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("fp", DRIVES, ids=["circular", "linear", "k0.6"])
+def test_energy_from_q_matches_trace(fp):
+    ap = AnisotropyParams(Q=0.8, d=-0.35)
+    rng = np.random.default_rng(9)
+    ts = np.array([0.0, 2.1, 7.7])
+    rhos = [random_density(rng) for _ in ts]
+    qs = np.array([bloch8_from_density(r) for r in rhos])
+    expect = [np.trace(r @ qutrit_hamiltonian(t, fp, ap)).real for r, t in zip(rhos, ts)]
+    assert np.allclose(qutrit_energy(qs, field_at(ts, fp), ap), expect, rtol=0, atol=1e-14)
+    assert qutrit_energy(qs[1], field_at(ts[1], fp), ap) == pytest.approx(expect[1], abs=1e-14)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_finite(-5, 5), H=_finite(-5, 5), omega=_finite(-5, 5), Q=_finite(-5, 5),
+       d=_finite(-5, 5), k=_finite(0, 1), t=_finite(-50, 50),
+       linear=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_generator_rhs_property(h, H, omega, Q, d, k, t, linear, seed):
+    fp = FieldParams.linear(h, H, omega) if linear else FieldParams.elliptic(h, H, omega, k)
+    ap = AnisotropyParams(Q=Q, d=d)
+    rho = random_density(np.random.default_rng(seed))
+    q = bloch8_from_density(rho)
+    dq = make_qutrit_rhs_real(fp, ap)(t, q)
+    assert np.max(np.abs(dq - bloch8_from_density(qutrit_rhs(t, rho, fp, ap)))) < 1e-12
+    assert abs(q @ dq) < 1e-12      # antisymmetric M(t): |q| is conserved
+
+
+def test_evolve_density_states_are_q():
+    fp = FieldParams.circular(0.45, 0.2, 0.2)
+    times, rhos, traj = evolve_density(fp, AnisotropyParams(Q=0.8, d=0.15),
+                                       initial_density_north(), 5.0, n_out=21)
+    assert traj.states.shape == (21, 8)
+    assert np.array_equal(traj.states[0], bloch8_from_density(initial_density_north()))
+    qs = np.array([bloch8_from_density(r) for r in rhos])
+    assert np.max(np.abs(qs - traj.states)) < 1e-15
+    assert np.array_equal(rhos, np.conj(np.transpose(rhos, (0, 2, 1))))
+
+
+def test_q_distance_is_frobenius_distance():
+    rng = np.random.default_rng(2)
+    a, b = random_density(rng), random_density(rng)
+    dq = bloch8_from_density(a) - bloch8_from_density(b)
+    assert np.linalg.norm(dq) / math.sqrt(3.0) == pytest.approx(np.linalg.norm(a - b), rel=1e-14)
 
 
 def test_purity_and_trace_conserved():
