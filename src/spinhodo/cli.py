@@ -25,11 +25,11 @@ from .presets import PRESETS, check_caption_value
 from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     analytic_elliptic_resonance, analytic_rabi_general,
                     closed_trajectory_amplitude_qubit, field_at,
-                    make_bloch_rhs)
+                    make_bloch_rhs, qubit_energy)
 from .qutrit import (AnisotropyParams, analytic_qutrit_resonance,
                      bloch8_from_density, closed_trajectory_amplitude_qutrit,
-                     evolve_density, initial_density_north,
-                     make_qutrit_rhs_real, polarization_series, qutrit_energy)
+                     initial_density_north, make_qutrit_rhs_real,
+                     polarization_series, qutrit_energy)
 
 __all__ = ["run_preset", "simulate", "closure_search", "main", "UnsupportedAnalytic"]
 
@@ -48,27 +48,37 @@ def default_config():
 
 
 # ----------------------------------------------------------------- running
+#
+# Both systems simulate into one record: the solve (`traj`), the unit
+# direction `p` drawn on the hodograph, the drive `fields`, the state and
+# system-specific columns of trajectory.csv in file order, and the
+# system-specific observed ranges in report order.
+
+def _range(x):
+    """[min, max] of a series; NaN marks undefined samples and is skipped."""
+    return [float(np.nanmin(x)), float(np.nanmax(x))]
+
 
 def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
-    rhs = make_bloch_rhs(fp, dp)
-    traj = resample_uniform(rhs, n_out, y0=init.bloch(), t_span=(0.0, duration), cfg=cfg)
+    traj = resample_uniform(make_bloch_rhs(fp, dp), n_out, init.bloch(), (0.0, duration), cfg)
     R = traj.states
     lengths = np.linalg.norm(R, axis=1)
     if np.min(lengths) < 1e-12:
         raise RuntimeError("coherence vector collapsed to zero; no direction")
-    p = R / lengths[:, None]
     fields = field_at(traj.times, fp)
-    energy = 0.5 * np.einsum("ij,ij->i", fields, R)
+    flip = (1.0 - R[:, 2]) / 2.0
     return {
-        "times": traj.times, "R": R, "p": p, "energy": energy,
-        "flip_probability": (1.0 - R[:, 2]) / 2.0,
-        "bloch_length": lengths, "fields": fields, "traj": traj,
+        "traj": traj, "p": R / lengths[:, None], "fields": fields,
+        "state_columns": {f"R{i + 1}": R[:, i] for i in range(3)},
+        "extra_columns": {"P": flip, "E": qubit_energy(R, fields)},
+        "extra_observed": {"flip_probability": _range(flip),
+                           "bloch_length": _range(lengths)},
     }
 
 
 def _simulate_qutrit(fp, ap, duration, cfg, n_out):
-    times, _, traj = evolve_density(fp, ap, initial_density_north(), duration,
-                                    cfg=cfg, n_out=n_out)
+    traj = resample_uniform(make_qutrit_rhs_real(fp, ap), n_out,
+                            bloch8_from_density(initial_density_north()), (0.0, duration), cfg)
     qs = traj.states
     p = polarization_series(qs)
     if np.any(~np.isfinite(p)):
@@ -76,52 +86,38 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
                            "(spin part of q vanished)")
     r6q3 = math.sqrt(6.0) * qs[:, 2]
     r2q6 = math.sqrt(2.0) * qs[:, 5]
-    pops = np.stack([(2.0 + r6q3 + r2q6) / 6.0,
-                     (1.0 - r2q6) / 3.0,
-                     (2.0 - r6q3 + r2q6) / 6.0], axis=1)
-    fields = field_at(times, fp)
+    pops = {"p_plus": (2.0 + r6q3 + r2q6) / 6.0,
+            "p_zero": (1.0 - r2q6) / 3.0,
+            "p_minus": (2.0 - r6q3 + r2q6) / 6.0}
+    fields = field_at(traj.times, fp)
     return {
-        "times": times, "q": qs, "p": p, "energy": qutrit_energy(qs, fields, ap),
-        "populations": pops, "q_length": np.linalg.norm(qs, axis=1),
-        "fields": fields, "traj": traj,
+        "traj": traj, "p": p, "fields": fields,
+        "state_columns": {f"q{i + 1}": qs[:, i] for i in range(8)},
+        "extra_columns": {"P_plus": pops["p_plus"], "P_zero": pops["p_zero"],
+                          "P_minus": pops["p_minus"], "E": qutrit_energy(qs, fields, ap)},
+        "extra_observed": {"populations": {k: _range(v) for k, v in pops.items()},
+                           "q_length": _range(np.linalg.norm(qs, axis=1))},
     }
 
 
 def _observed_ranges(sim, series):
     ok = series.valid
     ang = ~series.pole
-    obs = {
-        "speed": [float(np.min(series.speed)), float(np.max(series.speed))],
-        "curvature": [float(np.nanmin(series.curvature[ok])),
-                      float(np.nanmax(series.curvature[ok]))],
-        "torsion": [float(np.nanmin(series.torsion[ok])),
-                    float(np.nanmax(series.torsion[ok]))],
-        "theta_dot": [float(np.nanmin(series.theta_dot[ang])),
-                      float(np.nanmax(series.theta_dot[ang]))],
-        "phi_dot": [float(np.nanmin(series.phi_dot[ang])),
-                    float(np.nanmax(series.phi_dot[ang]))],
+    return {
+        "speed": _range(series.speed),
+        "curvature": _range(series.curvature[ok]),
+        "torsion": _range(series.torsion[ok]),
+        "theta_dot": _range(series.theta_dot[ang]),
+        "phi_dot": _range(series.phi_dot[ang]),
         "arc_length": float(series.arc_length[-1]),
-        "energy": [float(np.min(sim["energy"])), float(np.max(sim["energy"]))],
+        "energy": _range(sim["extra_columns"]["E"]),
+        **sim["extra_observed"],
     }
-    if "flip_probability" in sim:
-        P = sim["flip_probability"]
-        obs["flip_probability"] = [float(np.min(P)), float(np.max(P))]
-        obs["bloch_length"] = [float(np.min(sim["bloch_length"])),
-                               float(np.max(sim["bloch_length"]))]
-    else:
-        pops = sim["populations"]
-        obs["populations"] = {
-            "p_plus": [float(np.min(pops[:, 0])), float(np.max(pops[:, 0]))],
-            "p_zero": [float(np.min(pops[:, 1])), float(np.max(pops[:, 1]))],
-            "p_minus": [float(np.min(pops[:, 2])), float(np.max(pops[:, 2]))],
-        }
-        obs["q_length"] = [float(np.min(sim["q_length"])), float(np.max(sim["q_length"]))]
-    return obs
 
 
 def _events(sim, series):
     cusps = detect_cusps(series)
-    loops = detect_loops(sim["times"], sim["p"])
+    loops = detect_loops(sim["traj"].times, sim["p"])
     flips = count_torsion_sign_changes(series.torsion[series.valid])
     return {
         "cusps": [{"t": c.t, "speed": c.speed, "curvature": c.curvature} for c in cusps],
@@ -146,7 +142,7 @@ def _caption_checks(expected, obs, events):
 
 
 def _analyze(sim, expected=None):
-    series = frenet_geometry(sim["times"], sim["p"])
+    series = frenet_geometry(sim["traj"].times, sim["p"])
     obs = _observed_ranges(sim, series)
     ev = _events(sim, series)
     checks = _caption_checks(expected, obs, ev) if expected else None
@@ -167,41 +163,23 @@ def _write_csv(path, header, columns):
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_artifacts(out_dir, sim, series, report, system):
+def write_artifacts(out_dir, sim, series, report):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    geo_cols = [series.times, series.theta, series.phi, series.theta_dot,
-                series.phi_dot, series.curvature, series.torsion, series.speed,
-                series.arc_length, series.valid.astype(float), series.pole.astype(float)]
-    geo_hdr = ["t", "theta", "phi", "theta_dot", "phi_dot", "curvature",
-               "torsion", "speed", "arc_length", "valid", "pole"]
-    _write_csv(out / "geometry.csv", geo_hdr, geo_cols)
+    # the geometry columns carry the names of their FrenetSeries fields
+    shared = {name: getattr(series, name) for name in
+              ("theta", "phi", "theta_dot", "phi_dot", "curvature", "torsion",
+               "speed", "arc_length")}
+    geo = {"t": series.times, **shared,
+           "valid": series.valid.astype(float), "pole": series.pole.astype(float)}
+    _write_csv(out / "geometry.csv", list(geo), list(geo.values()))
 
-    p = sim["p"]
-    shared = [series.theta, series.phi, series.theta_dot, series.phi_dot,
-              series.curvature, series.torsion, series.speed, series.arc_length]
-    shared_hdr = ["theta", "phi", "theta_dot", "phi_dot", "curvature",
-                  "torsion", "speed", "arc_length"]
-    fld = sim["fields"]
-    if system == "qubit":
-        R = sim["R"]
-        cols = [sim["times"], R[:, 0], R[:, 1], R[:, 2], p[:, 0], p[:, 1], p[:, 2],
-                *shared, sim["flip_probability"], sim["energy"],
-                fld[:, 0], fld[:, 1], fld[:, 2]]
-        hdr = ["t", "R1", "R2", "R3", "p1", "p2", "p3", *shared_hdr, "P", "E",
-               "h1", "h2", "h3"]
-    else:
-        q = sim["q"]
-        pops = sim["populations"]
-        cols = [sim["times"], *[q[:, i] for i in range(8)],
-                p[:, 0], p[:, 1], p[:, 2], *shared,
-                pops[:, 0], pops[:, 1], pops[:, 2], sim["energy"],
-                fld[:, 0], fld[:, 1], fld[:, 2]]
-        hdr = ["t", *[f"q{i+1}" for i in range(8)], "p1", "p2", "p3",
-               *shared_hdr, "P_plus", "P_zero", "P_minus", "E",
-               "h1", "h2", "h3"]
-    _write_csv(out / "trajectory.csv", hdr, cols)
+    p, fld = sim["p"], sim["fields"]
+    cols = {"t": sim["traj"].times, **sim["state_columns"],
+            "p1": p[:, 0], "p2": p[:, 1], "p3": p[:, 2], **shared,
+            **sim["extra_columns"], "h1": fld[:, 0], "h2": fld[:, 1], "h3": fld[:, 2]}
+    _write_csv(out / "trajectory.csv", list(cols), list(cols.values()))
 
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2)
@@ -232,54 +210,59 @@ plot 'geometry.csv' using 't':'theta_dot' with lines title 'nutation rate', \\
 
 # ----------------------------------------------------------------- commands
 
-def run_preset(name, out_dir=None, cfg=None):
-    """Run a figure preset; returns the report dict (and writes artifacts)."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    preset = PRESETS[name]
-    cfg = cfg or default_config()
-
-    if preset.system == "qubit":
-        sim = _simulate_qubit(preset.fieldp, preset.damping, preset.init,
-                              preset.duration, cfg, preset.n_output)
+def _run(system, fp, dp, init, ap, duration, cfg, n_out, preset=None, expected=None):
+    """Simulate, analyse and build the report; returns (sim, series, report)."""
+    if system == "qubit":
+        sim = _simulate_qubit(fp, dp, init, duration, cfg, n_out)
+    elif system == "qutrit":
+        sim = _simulate_qutrit(fp, ap, duration, cfg, n_out)
     else:
-        sim = _simulate_qutrit(preset.fieldp, preset.aniso, preset.duration,
-                               cfg, preset.n_output)
-    series, obs, ev, checks = _analyze(sim, preset.expected)
-
+        raise ValueError(f"unknown system {system!r}")
+    series, obs, ev, checks = _analyze(sim, expected)
+    traj = sim["traj"]
     report = {
         "tool": f"spinhodo {__version__}",
-        "preset": name,
-        "system": preset.system,
-        "parameters": _param_record(preset.fieldp, preset.damping, preset.init,
-                                    preset.aniso),
-        "duration": preset.duration,
-        "n_samples": len(sim["times"]),
+        "preset": preset,
+        "system": system,
+        "parameters": _param_record(system, fp, dp, init, ap),
+        "duration": duration,
+        "n_samples": len(traj.times),
         "integrator": {
             "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-            "max_local_error": sim["traj"].max_error_estimate,
-            "n_steps": sim["traj"].n_steps,
-            "n_rejected": sim["traj"].n_rejected,
+            "max_local_error": traj.max_error_estimate,
+            "n_steps": traj.n_steps,
+            "n_rejected": traj.n_rejected,
         },
         "observed": obs,
         "events": ev,
         "caption_checks": checks,
     }
+    return sim, series, report
+
+
+def run_preset(name, out_dir=None, cfg=None):
+    """Run a figure preset; returns the report dict (and writes artifacts)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    preset = PRESETS[name]
+    sim, series, report = _run(preset.system, preset.fieldp, preset.damping, preset.init,
+                               preset.aniso, preset.duration, cfg or default_config(),
+                               preset.n_output, name, preset.expected)
     if out_dir is not None:
-        write_artifacts(out_dir, sim, series, report, preset.system)
+        write_artifacts(out_dir, sim, series, report)
     return report
 
 
-def _param_record(fp, dp, init, ap):
+def _param_record(system, fp, dp, init, ap):
     rec = {
         "mode": fp.mode.value, "h1": fp.h1, "h2": fp.h2, "H": fp.H,
         "omega": fp.omega, "modulus": fp.k,
         "gamma1": dp.gamma1, "gamma2": dp.gamma2, "r_eq": dp.r_eq,
     }
-    if init is not None:
+    if system == "qubit":
         rec["theta0"] = init.theta0
         rec["phi0"] = init.phi0
-    if ap is not None:
+    else:
         rec["Q"] = ap.Q
         rec["d"] = ap.d
     return rec
@@ -316,45 +299,17 @@ def simulate(system, fp, duration, out_dir=None, dp=None, init=None, ap=None,
     cfg = cfg or default_config()
     dp = dp or DampingParams()
     init = init or InitialAngles()
+    ap = ap or AnisotropyParams()
     if n_out is None:
         n_out = cfg.output_points_per_period + 1
-
-    if system == "qubit":
-        sim = _simulate_qubit(fp, dp, init, duration, cfg, n_out)
-    elif system == "qutrit":
-        ap = ap or AnisotropyParams()
-        sim = _simulate_qutrit(fp, ap, duration, cfg, n_out)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-
+    sim, series, report = _run(system, fp, dp, init, ap, duration, cfg, n_out)
     deviation = None
     if analytic:
-        ref = _analytic_reference(system, fp, dp, init, ap, sim["times"])
-        numeric = sim["R"] if system == "qubit" else sim["q"]
-        deviation = float(np.max(np.abs(ref - numeric)))
-
-    series, obs, ev, _ = _analyze(sim)
-    report = {
-        "tool": f"spinhodo {__version__}",
-        "preset": None,
-        "system": system,
-        "parameters": _param_record(fp, dp, init if system == "qubit" else None,
-                                    ap if system == "qutrit" else None),
-        "duration": duration,
-        "n_samples": len(sim["times"]),
-        "integrator": {
-            "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-            "max_local_error": sim["traj"].max_error_estimate,
-            "n_steps": sim["traj"].n_steps,
-            "n_rejected": sim["traj"].n_rejected,
-        },
-        "observed": obs,
-        "events": ev,
-        "caption_checks": None,
-        "analytic_max_deviation": deviation,
-    }
+        ref = _analytic_reference(system, fp, dp, init, ap, sim["traj"].times)
+        deviation = float(np.max(np.abs(ref - sim["traj"].states)))
+    report["analytic_max_deviation"] = deviation
     if out_dir is not None:
-        write_artifacts(out_dir, sim, series, report, system)
+        write_artifacts(out_dir, sim, series, report)
     return report
 
 
@@ -363,40 +318,38 @@ def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
     """Enumerate commensurate pairs, compute the closing amplitude, integrate
     one common period, and report the endpoint-start distance."""
     cfg = cfg or default_config()
+    if system == "qubit":
+        if omega == 0.0:
+            raise ValueError("qubit closure search needs a nonzero drive frequency")
+        y0 = (init or InitialAngles(math.acos(1.0 / math.sqrt(3.0)), 0.0)).bloch()
+        scale = 1.0
+    else:
+        y0 = bloch8_from_density(initial_density_north())
+        scale = math.sqrt(3.0)   # |q(T) - q(0)|/sqrt(3) is the Frobenius distance of rho(T), rho(0)
     rows = []
     for x in range(1, x_max + 1):
         for y in range(1, y_max + 1):
             if system == "qubit":
-                if omega == 0.0:
-                    raise ValueError("qubit closure search needs a nonzero drive frequency")
                 h = closed_trajectory_amplitude_qubit(x, y, omega, H)
-                if h is None:
-                    rows.append({"x": x, "y": y, "h": None, "residual": None,
-                                 "feasible": False})
-                    continue
-                period = 2.0 * math.pi * x / abs(omega)
-                fp = FieldParams.circular(h, H, omega)
-                rhs = make_bloch_rhs(fp, DampingParams())
-                y0 = (init or InitialAngles(math.acos(1.0 / math.sqrt(3.0)), 0.0)).bloch()
-                n = max(64, int(points_per_period * x)) + 1
-                traj = resample_uniform(rhs, n, y0=y0, t_span=(0.0, period), cfg=cfg)
-                residual = float(np.linalg.norm(traj.states[-1] - traj.states[0]))
             else:
                 try:
                     h = closed_trajectory_amplitude_qutrit(x, y, Q, d)
                 except ValueError:
-                    rows.append({"x": x, "y": y, "h": None, "residual": None,
-                                 "feasible": False})
-                    continue
+                    h = None
+            if h is None:
+                rows.append({"x": x, "y": y, "h": None, "residual": None,
+                             "feasible": False})
+                continue
+            if system == "qubit":
+                period = 2.0 * math.pi * x / abs(omega)
+                rhs = make_bloch_rhs(FieldParams.circular(h, H, omega), DampingParams())
+            else:
                 period = 4.0 * math.pi * x / abs(Q)
-                fp = FieldParams.circular(h, 0.0, 0.0)
-                ap = AnisotropyParams(Q=Q, d=d)
-                n = max(64, int(points_per_period * x)) + 1
-                rhs = make_qutrit_rhs_real(fp, ap)
-                traj = resample_uniform(rhs, n, y0=bloch8_from_density(initial_density_north()),
-                                        t_span=(0.0, period), cfg=cfg)
-                # |q(T) - q(0)|/sqrt(3) is the Frobenius distance of rho(T), rho(0)
-                residual = float(np.linalg.norm(traj.states[-1] - traj.states[0])) / math.sqrt(3.0)
+                rhs = make_qutrit_rhs_real(FieldParams.circular(h, 0.0, 0.0),
+                                           AnisotropyParams(Q=Q, d=d))
+            n = max(64, int(points_per_period * x)) + 1
+            traj = resample_uniform(rhs, n, y0, (0.0, period), cfg)
+            residual = float(np.linalg.norm(traj.states[-1] - traj.states[0])) / scale
             rows.append({"x": x, "y": y, "h": h, "residual": residual,
                          "feasible": True, "period": period})
     return rows

@@ -6,15 +6,14 @@ linear systems: the 3-component qubit coherence vector and the
 
 * :func:`integrate` - adaptive stepping, output grid filled by the
   standard 4th-order continuous extension of the pair;
-* :func:`resample_uniform` - re-integration that lands *exactly* on every
-  output time (no interpolation), which is what the finite-difference
-  geometry wants.
+* :func:`resample_uniform` - adaptive stepping clipped to land *exactly*
+  on every output time (no interpolation), which is what the
+  finite-difference geometry wants.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,33 +83,34 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Dense uniform-grid solution plus enough provenance to re-integrate."""
+    """Uniform-grid solution with the statistics of the solve."""
 
     times: np.ndarray
     states: np.ndarray                  # (n, dim)
     max_error_estimate: float           # largest weighted local error accepted
     n_steps: int
     n_rejected: int
-    rhs: Optional[Callable] = field(default=None, repr=False)
-    y0: Optional[np.ndarray] = field(default=None, repr=False)
-    t_span: Optional[Tuple[float, float]] = None
-    cfg: Optional[IntegratorConfig] = None
+
+
+def _rms(x):
+    # np.mean's Python wrapper would cost more than the reduction itself
+    return math.sqrt(float(np.add.reduce(x * x)) / x.size)
 
 
 def _error_norm(err, y_old, y_new, cfg):
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return _rms(err / scale)
 
 
 def _initial_step(rhs, t0, y0, f0, direction, cfg):
     # Hairer-style startup estimate
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
     f1 = np.asarray(rhs(t0 + h0 * direction, y1), dtype=float)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -233,31 +233,20 @@ def integrate(rhs, y0, t_span, cfg=None, n_out=None):
         raise ValueError("need at least 2 output points")
     times = np.linspace(t_span[0], t_span[1], n_out)
     out, max_err, n_steps, n_rej = _run(rhs, y0, t_span, cfg, times, exact_landing=False)
-    return Trajectory(times, out, max_err, n_steps, n_rej,
-                      rhs=rhs, y0=np.array(y0, dtype=float), t_span=tuple(t_span), cfg=cfg)
+    return Trajectory(times, out, max_err, n_steps, n_rej)
 
 
-def resample_uniform(traj_or_rhs, n, y0=None, t_span=None, cfg=None):
-    """Re-integrate (never interpolate) onto a uniform grid of n points.
+def resample_uniform(rhs, n, y0, t_span, cfg=None):
+    """Integrate y' = rhs(t, y) onto a uniform grid of n points, never
+    interpolating.
 
-    Accepts either a Trajectory carrying its own problem definition or an
-    explicit (rhs, y0, t_span) triple.  Steps are clipped so the solver
-    lands exactly on every grid time, which keeps the samples free of
-    interpolation error for the high-order finite differences downstream.
+    Steps are clipped so the solver lands exactly on every grid time, which
+    keeps the samples free of interpolation error for the high-order finite
+    differences downstream.
     """
-    if isinstance(traj_or_rhs, Trajectory):
-        traj = traj_or_rhs
-        if traj.rhs is None:
-            raise ValueError("trajectory carries no problem definition to re-integrate")
-        rhs, y0, t_span, cfg = traj.rhs, traj.y0, traj.t_span, cfg or traj.cfg
-    else:
-        rhs = traj_or_rhs
-        if y0 is None or t_span is None:
-            raise ValueError("rhs form requires y0 and t_span")
     cfg = cfg or IntegratorConfig()
     if n < 7:
         raise ValueError("uniform resampling needs at least 7 points")
     times = np.linspace(t_span[0], t_span[1], n)
     out, max_err, n_steps, n_rej = _run(rhs, y0, t_span, cfg, times, exact_landing=True)
-    return Trajectory(times, out, max_err, n_steps, n_rej,
-                      rhs=rhs, y0=np.array(y0, dtype=float), t_span=tuple(t_span), cfg=cfg)
+    return Trajectory(times, out, max_err, n_steps, n_rej)

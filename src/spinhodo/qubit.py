@@ -95,6 +95,10 @@ class DampingParams:
     r_eq: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma1", "gamma2", "r_eq"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ValueError("relaxation rates must be non-negative")
 
@@ -118,6 +122,8 @@ class InitialAngles:
     def __post_init__(self):
         if not (0.0 <= self.theta0 <= math.pi):
             raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"phi0 must be finite, got {self.phi0!r}")
 
     def bloch(self):
         st = math.sin(self.theta0)
@@ -251,8 +257,9 @@ def bloch_length(R):
 
 
 def qubit_energy(R, h):
-    """Mean energy (1/2) sum_i h_i R_i of the qubit in field h."""
-    return 0.5 * float(np.dot(np.asarray(R, dtype=float), np.asarray(h, dtype=float)))
+    """Mean energy (1/2) sum_i h_i R_i of the qubit in field h; R and h of
+    shape (..., 3) give one energy per leading index."""
+    return 0.5 * np.einsum("...i,...i->...", h, R)
 
 
 def closed_trajectory_amplitude_qubit(x, y, omega, H):

@@ -9,6 +9,7 @@ from spinhodo import cli
 from spinhodo.cli import (UnsupportedAnalytic, closure_search, default_config,
                           main, run_preset, simulate)
 from spinhodo.integrator import IntegratorConfig
+from spinhodo.presets import PRESETS
 from spinhodo.qubit import DampingParams, FieldParams, InitialAngles
 
 
@@ -16,6 +17,13 @@ from spinhodo.qubit import DampingParams, FieldParams, InitialAngles
 def fig5_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig5")
     report = run_preset("fig5", out_dir=out)
+    return out, report
+
+
+@pytest.fixture(scope="module")
+def fig8_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fig8")
+    report = run_preset("fig8", out_dir=out)
     return out, report
 
 
@@ -113,15 +121,38 @@ def test_caption_checks_recorded(fig5_run):
     assert all(c["passed"] for c in report["caption_checks"])
 
 
-def test_qutrit_preset_report(tmp_path):
-    report = run_preset("fig8", out_dir=tmp_path)
+def test_qutrit_preset_report(fig8_run):
+    out, report = fig8_run
     assert report["system"] == "qutrit"
     pops = report["observed"]["populations"]
     assert pops["p_minus"][1] == pytest.approx(1.0, abs=1e-8)
-    data = np.genfromtxt(tmp_path / "trajectory.csv", delimiter=",", names=True)
+    data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
     assert "q1" in data.dtype.names and "P_minus" in data.dtype.names
     total = data["P_plus"] + data["P_zero"] + data["P_minus"]
     assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+def test_qutrit_trajectory_csv_schema(fig8_run):
+    out, report = fig8_run
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header == ["t", "q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8",
+                      "p1", "p2", "p3", "theta", "phi", "theta_dot", "phi_dot",
+                      "curvature", "torsion", "speed", "arc_length",
+                      "P_plus", "P_zero", "P_minus", "E", "h1", "h2", "h3"]
+    assert len(lines) - 1 == report["n_samples"]
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig8"])
+def test_simulate_matches_preset(name, request):
+    # a free run with a preset's parameters goes down the preset's path
+    preset = PRESETS[name]
+    _, by_preset = request.getfixturevalue(f"{name}_run")
+    free = simulate(preset.system, preset.fieldp, preset.duration, dp=preset.damping,
+                    init=preset.init, ap=preset.aniso, n_out=preset.n_output)
+    for key in ("parameters", "n_samples", "integrator", "observed", "events"):
+        assert free[key] == by_preset[key], key
+    assert free["preset"] is None and free["caption_checks"] is None
 
 
 def test_unknown_preset_rejected():

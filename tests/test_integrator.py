@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinhodo.integrator import (IntegrationError, IntegratorConfig, Trajectory,
-                                 integrate, resample_uniform)
+from spinhodo.integrator import (IntegrationError, IntegratorConfig, integrate,
+                                 resample_uniform)
 
 
 def decay_rhs(t, y):
@@ -60,13 +60,6 @@ def test_backward_integration():
 def test_max_error_estimate_reported():
     traj = integrate(decay_rhs, np.array([1.0]), (0.0, 5.0), n_out=11)
     assert 0.0 < traj.max_error_estimate <= 1.0
-
-
-def test_trajectory_carries_problem():
-    traj = integrate(decay_rhs, np.array([1.0]), (0.0, 5.0), n_out=11)
-    again = resample_uniform(traj, 11)
-    assert np.allclose(traj.states, again.states, atol=1e-9)
-    assert isinstance(again, Trajectory)
 
 
 def test_resample_needs_seven_points():

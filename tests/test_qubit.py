@@ -92,6 +92,18 @@ def test_initial_angles():
         InitialAngles(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("name, make", [
+    ("gamma1", lambda v: DampingParams(v, 0.1)),
+    ("gamma2", lambda v: DampingParams(0.1, v)),
+    ("r_eq", lambda v: DampingParams(0.1, 0.1, v)),
+    ("phi0", lambda v: InitialAngles(0.3, v)),
+], ids=["gamma1", "gamma2", "r_eq", "phi0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_damping_and_angles_reject_non_finite_by_name(name, make, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(value)
+
+
 # --------------------------------------------------------------- equation
 
 def test_rhs_pure_z_precession():
