@@ -410,7 +410,7 @@ def _natural_period(args, fp, ap):
         if Om == 0.0:
             raise ValueError("degenerate parameters: specify --duration explicitly")
         return 2.0 * math.pi / Om
-    f = math.hypot(2.0 * args.h, ap.Q)
+    f = math.hypot(2.0 * args.h, ap.Q, 2.0 * ap.d)
     if f == 0.0:
         raise ValueError("degenerate parameters: specify --duration explicitly")
     return 2.0 * math.pi / f

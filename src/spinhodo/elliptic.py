@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "sncndn_of",
     "jacobi_sncndn",
     "complete_k",
     "incomplete_e",
@@ -34,6 +35,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_WIDTH = math.pi / 8.0
 
 
+def _check_argument(u):
+    if not math.isfinite(u):
+        raise ValueError(f"argument must be finite, got {u!r}")
+
+
 def _check_modulus(k):
     if not (isinstance(k, (int, float)) and math.isfinite(k)):
         raise ValueError(f"elliptic modulus must be a finite real, got {k!r}")
@@ -41,58 +47,75 @@ def _check_modulus(k):
         raise ValueError(f"elliptic modulus must lie in [0, 1], got {k}")
 
 
-def jacobi_sncndn(u, k):
-    """Return the triple (sn(u|k), cn(u|k), dn(u|k)).
+def sncndn_of(k):
+    """Return the evaluator u -> (sn(u|k), cn(u|k), dn(u|k)) for one modulus.
 
-    Uses the descending-Landen AGM scale with a backward recurrence for dn.
-    The limits k=0 (trigonometric) and k=1 (hyperbolic) are returned in
-    closed form.
+    The modulus is checked here, once.  The limits k=0 (trigonometric) and
+    k=1 (hyperbolic) are closed forms; for 0 < k < 1 the descending-Landen
+    AGM ladder is built here, so each call does only the back substitution
+    (a backward recurrence for dn).  Every call rejects a non-finite u.
     """
-    if not math.isfinite(u):
-        raise ValueError(f"argument must be finite, got {u!r}")
     _check_modulus(k)
 
     if k == 0.0:
-        return math.sin(u), math.cos(u), 1.0
+        def sncndn(u):
+            _check_argument(u)
+            return math.sin(u), math.cos(u), 1.0
+        return sncndn
     if k == 1.0:
-        sech = 1.0 / math.cosh(u)
-        return math.tanh(u), sech, sech
-    if abs(u) < _SMALL_U:
-        # the back substitution divides by sn and overflows for |u| below
-        # about 1e-154; here the Taylor terms past (u, 1, 1) are under half an ulp
-        return u, 1.0, 1.0
+        def sncndn(u):
+            _check_argument(u)
+            sech = 1.0 / math.cosh(u)
+            return math.tanh(u), sech, sech
+        return sncndn
 
-    # descending AGM ladder; em/en record the scale for the back substitution
+    # descending AGM ladder: the back substitution walks its (a, sqrt(mc))
+    # rungs last first, after scaling u by the converged mean
     mc = (1.0 - k) * (1.0 + k)  # complementary parameter 1 - k^2
     a = 1.0
-    c = 0.0
-    em = []
-    en = []
+    rungs = []
     for _ in range(_AGM_MAX_ITER):
-        em.append(a)
         mc = math.sqrt(mc)
-        en.append(mc)
-        c = 0.5 * (a + mc)
+        rungs.append((a, mc))
+        scale = 0.5 * (a + mc)
         if abs(a - mc) <= _AGM_EPS * a:
             break
         mc = a * mc
-        a = c
+        a = scale
+    rungs.reverse()
 
-    u = c * u
-    sn, cn = math.sin(u), math.cos(u)
-    dn = 1.0
-    if sn != 0.0:
-        a = cn / sn
-        c *= a
-        for b, e in zip(reversed(em), reversed(en)):
-            a *= c
-            c *= dn
-            dn = (e + a) / (b + a)
-            a = c / b
-        a = 1.0 / math.sqrt(c * c + 1.0)
-        sn = a if sn >= 0.0 else -a
-        cn = c * sn
-    return sn, cn, dn
+    def sncndn(u):
+        _check_argument(u)
+        if abs(u) < _SMALL_U:
+            # the back substitution divides by sn and overflows for |u| below
+            # about 1e-154; here the Taylor terms past (u, 1, 1) are under half an ulp
+            return u, 1.0, 1.0
+        u = scale * u
+        sn, cn = math.sin(u), math.cos(u)
+        dn = 1.0
+        if sn != 0.0:
+            a = cn / sn
+            c = scale * a
+            for b, e in rungs:
+                a *= c
+                c *= dn
+                dn = (e + a) / (b + a)
+                a = c / b
+            a = 1.0 / math.sqrt(c * c + 1.0)
+            sn = a if sn >= 0.0 else -a
+            cn = c * sn
+        return sn, cn, dn
+
+    return sncndn
+
+
+def jacobi_sncndn(u, k):
+    """Return the triple (sn(u|k), cn(u|k), dn(u|k)).
+
+    One call of :func:`sncndn_of`; build the evaluator once instead when
+    evaluating many arguments at one modulus.
+    """
+    return sncndn_of(k)(u)
 
 
 def complete_k(k):
@@ -106,7 +129,11 @@ def complete_k(k):
         raise ValueError("K(k) diverges at k = 1")
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
-    while abs(a - b) > 1e-16 * a:
+    # bounded: for some k (0.6, 0.97) the means settle one ulp apart, which
+    # is more than 1e-16 a, and never meet
+    for _ in range(_AGM_MAX_ITER):
+        if abs(a - b) <= 1e-16 * a:
+            break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .elliptic import incomplete_e
 
 __all__ = [
-    "GeometrySample", "GeometrySeries", "CuspEvent", "LoopEvent",
+    "GeometrySeries", "CuspEvent", "LoopEvent",
     "spherical_angles", "angular_velocities", "frenet_geometry",
     "resonance_geometry", "adjoining_sphere_residual", "curvature_rate",
     "detect_cusps", "detect_loops", "count_torsion_sign_changes",
@@ -152,21 +152,6 @@ def angular_velocities(p, h):
     return theta_dot, phi_dot
 
 
-@dataclass(frozen=True)
-class GeometrySample:
-    t: float
-    theta: float
-    phi: float
-    theta_dot: float
-    phi_dot: float
-    curvature: float
-    torsion: float
-    speed: float
-    arc_length: float
-    valid: bool
-    pole: bool
-
-
 @dataclass
 class GeometrySeries:
     """Per-sample hodograph diagnostics over a uniform time grid.
@@ -187,13 +172,6 @@ class GeometrySeries:
     arc_length: np.ndarray
     valid: np.ndarray
     pole: np.ndarray
-
-    def sample(self, i):
-        return GeometrySample(self.times[i], self.theta[i], self.phi[i],
-                              self.theta_dot[i], self.phi_dot[i],
-                              self.curvature[i], self.torsion[i],
-                              self.speed[i], self.arc_length[i],
-                              bool(self.valid[i]), bool(self.pole[i]))
 
     def __len__(self):
         return len(self.times)

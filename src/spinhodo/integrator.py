@@ -65,7 +65,6 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     output_points_per_period: int = 2000
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not self.max_step > 0:   # NaN compares False; inf (no limit) is allowed
-            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
         if not (isinstance(self.output_points_per_period, numbers.Integral)
                 and self.output_points_per_period >= 1):
             raise ValueError("output_points_per_period must be an integer >= 1, "
@@ -115,7 +112,7 @@ def _initial_step(rhs, t0, y0, f0, direction, cfg):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, cfg.max_step)
+    return min(100 * h0, h1)
 
 
 def _dense_coeffs(y_old, y_new, k, h):
@@ -173,7 +170,7 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
             break  # span exhausted up to float slack
         if h <= abs(t) * 1e-14 + 1e-300:
             raise IntegrationError("step size underflow", t)
-        h_try = min(h, cfg.max_step, abs(t1 - t))
+        h_try = min(h, abs(t1 - t))
         if exact_landing and next_out < len(out_times):
             gap = abs(out_times[next_out] - t)
             if gap > 1e-12 * max(1.0, abs(t)):

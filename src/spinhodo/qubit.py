@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import jacobi_sncndn
+from .elliptic import sncndn_of
 
 __all__ = [
     "FieldMode", "FieldParams", "DampingParams", "InitialAngles",
@@ -135,13 +135,9 @@ class InitialAngles:
 def field_at(t, fp):
     """Drive field at time t: shape (3,) for a scalar t, (..., 3) for an
     array of times."""
-    wt = fp.omega * np.asarray(t, dtype=float)
-    if fp.k == 0.0:
-        sn, cn, dn = np.sin(wt), np.cos(wt), 1.0
-    else:  # jacobi_sncndn is scalar; map it over the grid
-        sn, cn, dn = np.vectorize(lambda u: jacobi_sncndn(u, fp.k),
-                                  otypes=[float, float, float])(wt)
-    return np.stack(np.broadcast_arrays(fp.h1 * cn, fp.h2 * sn, fp.H * dn), axis=-1)
+    sn, cn, dn = np.vectorize(sncndn_of(fp.k), otypes=[float, float, float])(
+        fp.omega * np.asarray(t, dtype=float))
+    return np.stack([fp.h1 * cn, fp.h2 * sn, fp.H * dn], axis=-1)
 
 
 def bloch_rhs(t, R, fp, dp):
@@ -156,26 +152,17 @@ def bloch_rhs(t, R, fp, dp):
 
 def make_bloch_rhs(fp, dp):
     """Closure form of :func:`bloch_rhs` for the integrator hot loop."""
-    w, k, a1, a2, H = fp.omega, fp.k, fp.h1, fp.h2, fp.H
+    drive, w, a1, a2, H = sncndn_of(fp.k), fp.omega, fp.h1, fp.h2, fp.H
     g1, g2, req = dp.gamma1, dp.gamma2, dp.r_eq
-    if k == 0.0:
-        def rhs(t, R):
-            h1 = a1 * math.cos(w * t)
-            h2 = a2 * math.sin(w * t)
-            return np.array([
-                h2 * R[2] - H * R[1] - g2 * R[0],
-                H * R[0] - h1 * R[2] - g2 * R[1],
-                h1 * R[1] - h2 * R[0] - g1 * (R[2] - req),
-            ])
-    else:
-        def rhs(t, R):
-            sn, cn, dn = jacobi_sncndn(w * t, k)
-            h1, h2, h3 = a1 * cn, a2 * sn, H * dn
-            return np.array([
-                h2 * R[2] - h3 * R[1] - g2 * R[0],
-                h3 * R[0] - h1 * R[2] - g2 * R[1],
-                h1 * R[1] - h2 * R[0] - g1 * (R[2] - req),
-            ])
+
+    def rhs(t, R):
+        sn, cn, dn = drive(w * t)
+        h1, h2, h3 = a1 * cn, a2 * sn, H * dn
+        return np.array([
+            h2 * R[2] - h3 * R[1] - g2 * R[0],
+            h3 * R[0] - h1 * R[2] - g2 * R[1],
+            h1 * R[1] - h2 * R[0] - g1 * (R[2] - req),
+        ])
     return rhs
 
 
@@ -232,10 +219,7 @@ def analytic_elliptic_resonance(t, h, omega, k, gamma=0.0):
         R = e^{-gamma t} (sn(wt|k) sin ht, -cn(wt|k) sin ht, cos ht).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    sn = np.empty_like(t_arr)
-    cn = np.empty_like(t_arr)
-    for i, ti in enumerate(t_arr):
-        sn[i], cn[i], _ = jacobi_sncndn(omega * ti, k)
+    sn, cn, _ = np.vectorize(sncndn_of(k), otypes=[float, float, float])(omega * t_arr)
     sh, ch = np.sin(h * t_arr), np.cos(h * t_arr)
     R = np.stack([sn * sh, -cn * sh, ch], axis=-1)
     if gamma != 0.0:

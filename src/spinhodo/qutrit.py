@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import jacobi_sncndn
+from .elliptic import sncndn_of
 from .integrator import IntegratorConfig, resample_uniform
 from .qubit import field_at
 
@@ -111,24 +111,17 @@ def qutrit_rhs(t, rho, fp, ap):
 def make_qutrit_rhs_real(fp, ap):
     """Coherence-vector form q' = M(t) q of the unitary evolution (dim 8).
 
-    M(t) = h1(t) G1 + h2(t) G2 + h3(t) G3 + Q G_Q + d G_D; the constant
+    M(t) = h1(t) G1 + h2(t) G2 + h3(t) G3 + Q G_Q + d G_D; the anisotropy
     terms are summed once, and each call weights the stacked generators by
-    the field and applies the result to q.
+    (1, cn, sn, dn) of the drive and applies the result to q.
     """
     g1, g2, g3, gq, gd = _GEN.reshape(5, 64)
-    w, k = fp.omega, fp.k
-    static = ap.Q * gq + ap.d * gd
-    if k == 0.0:
-        gens = np.stack([static + fp.H * g3, fp.h1 * g1, fp.h2 * g2])
+    gens = np.stack([ap.Q * gq + ap.d * gd, fp.h1 * g1, fp.h2 * g2, fp.H * g3])
+    drive, w = sncndn_of(fp.k), fp.omega
 
-        def rhs(t, q):
-            return (np.array((1.0, math.cos(w * t), math.sin(w * t))) @ gens).reshape(8, 8) @ q
-    else:
-        gens = np.stack([static, fp.h1 * g1, fp.h2 * g2, fp.H * g3])
-
-        def rhs(t, q):
-            sn, cn, dn = jacobi_sncndn(w * t, k)
-            return (np.array((1.0, cn, sn, dn)) @ gens).reshape(8, 8) @ q
+    def rhs(t, q):
+        sn, cn, dn = drive(w * t)
+        return (np.array((1.0, cn, sn, dn)) @ gens).reshape(8, 8) @ q
 
     return rhs
 

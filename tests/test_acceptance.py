@@ -1,10 +1,10 @@
 """Acceptance suite: one pass/fail line per criterion, each at its stated
 tolerance.  Run with `pytest -s tests/test_acceptance.py` to see the lines.
 
-Three sub-checks of the figure regression are strict xfails: the published
+Five sub-checks of the figure regression are strict xfails: the published
 values they compare against are demonstrably inconsistent with the exact
-trajectories (analysis in the repository notes); every attainable check is
-asserted at full strength.
+trajectories (each xfail reason gives the evidence); every attainable check
+is asserted at full strength.
 """
 
 import math
@@ -19,6 +19,7 @@ from spinhodo.geometry import (adjoining_sphere_residual, angular_velocities,
                                curvature_rate, frenet_geometry,
                                resonance_geometry)
 from spinhodo.integrator import integrate, resample_uniform
+from spinhodo.presets import PRESETS
 from spinhodo.qubit import (DampingParams, FieldParams, InitialAngles,
                             analytic_elliptic_resonance, analytic_rabi_general,
                             field_at, make_bloch_rhs)
@@ -159,6 +160,48 @@ def test_criterion_5_figure_regression(figure_reports):
 def test_fig7_arc_length_caption(figure_reports):
     reports, _ = figure_reports
     check = {c["quantity"]: c for c in reports["fig7"]["caption_checks"]}["arc_length"]
+    assert check["passed"]
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="published fig3 lower precession rate -0.02 is inconsistent "
+                          "with the trajectory it captions: the closed-form rate "
+                          "h3 - (h1 p1 + h2 p2) p3/(p1^2 + p2^2) on the exact "
+                          "solution never goes negative, its minimum is 0.018412 on "
+                          "the preset grid and on a 100x finer one, 0.0384 from the "
+                          "caption against a tolerance of 0.0345")
+def test_fig3_phi_dot_caption(figure_reports):
+    reports, _ = figure_reports
+    check = {c["quantity"]: c for c in reports["fig3"]["caption_checks"]}["phi_dot"]
+    assert check["passed"]
+
+
+def test_fig3_phi_dot_range_is_the_closed_form(figure_reports):
+    reports, _ = figure_reports
+    preset = PRESETS["fig3"]
+    fp = preset.fieldp
+    t = np.linspace(0.0, preset.duration, preset.n_output)
+    R = analytic_rabi_general(t, preset.init, fp.h1, fp.H, fp.omega)
+    h = field_at(t, fp)
+    # the field-form precession rate of angular_velocities, on every sample
+    rho2 = R[:, 0] ** 2 + R[:, 1] ** 2
+    rate = h[:, 2] - (h[:, 0] * R[:, 0] + h[:, 1] * R[:, 1]) * R[:, 2] / rho2
+    observed = reports["fig3"]["observed"]["phi_dot"]
+    assert np.allclose(observed, [rate.min(), rate.max()], rtol=0.0, atol=1e-9)
+    assert rate.min() > 0.018
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="published fig7 torsion minimum -200 is inconsistent with "
+                          "the trajectory it captions: the run gives -1036.67 at "
+                          "t = 5.270, where the curvature falls to 1.0005 (the "
+                          "torsion of a sphere curve grows like 1/sqrt(k^2 - 1) as its "
+                          "curvature k nears 1); a 2x finer grid at rel_tol 1e-12 "
+                          "gives -1036.67 and a 4x finer one -1037.60, each more than "
+                          "twice the caption")
+def test_fig7_torsion_caption(figure_reports):
+    reports, _ = figure_reports
+    check = {c["quantity"]: c for c in reports["fig7"]["caption_checks"]}["torsion"]
     assert check["passed"]
 
 

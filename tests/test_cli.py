@@ -1,5 +1,6 @@
 """CLI artifact and interface tests."""
 
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 from spinhodo import cli
 from spinhodo.cli import (UnsupportedAnalytic, closure_search, default_config,
                           main, run_preset, simulate)
-from spinhodo.integrator import IntegratorConfig
+from spinhodo.elliptic import complete_k
+from spinhodo.integrator import IntegratorConfig, resample_uniform
 from spinhodo.presets import PRESETS
 from spinhodo.qubit import DampingParams, FieldParams, InitialAngles
+from spinhodo.qutrit import (AnisotropyParams, bloch8_from_density,
+                             initial_density_north, make_qutrit_rhs_real)
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +245,30 @@ def test_main_reports_errors(capsys):
                  "--analytic", "--out", "/tmp/spinhodo-err"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_qutrit_natural_period_counts_d(tmp_path, capsys):
+    # h = Q = 0: the d term alone swaps m = +1 and m = -1, and q returns after pi/|d|
+    argv = ["simulate", "--system", "qutrit", "--h", "0", "--Q", "0", "--out", str(tmp_path)]
+    fp, ap = FieldParams.circular(0.0, 0.0, 1.0), AnisotropyParams(0.0, 1.0)
+    period = cli._natural_period(cli._build_parser().parse_args(argv + ["--d", "1"]), fp, ap)
+    assert period == pytest.approx(math.pi, rel=1e-15)
+    q0 = bloch8_from_density(initial_density_north())
+    traj = resample_uniform(make_qutrit_rhs_real(fp, ap), 2001, q0, (0.0, period))
+    assert np.max(np.abs(traj.states[-1] - q0)) < 1e-8
+    assert np.max(np.abs(traj.states[1000] - q0)) > 1.0     # m = -1 full at half the period
+    # the run gets past the period; with no transverse field the spin part of q
+    # stays on the z axis and vanishes at a quarter period, so there is no hodograph
+    assert main(argv + ["--d", "1"]) == 2
+    assert "polarization direction undefined" in capsys.readouterr().err
+    assert main(argv + ["--d", "0"]) == 2
+    assert "degenerate parameters" in capsys.readouterr().err
+
+
+def test_main_elliptic_natural_period(tmp_path):
+    # the natural period is 4K(k)/omega; K(0.6) used to loop forever
+    code = main(["simulate", "--system", "qubit", "--mode", "elliptic", "--modulus", "0.6",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["duration"] == pytest.approx(4.0 * complete_k(0.6), rel=1e-15)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipeinc, ellipj
 
-from spinhodo.elliptic import complete_k, incomplete_e, jacobi_sncndn
+from spinhodo.elliptic import complete_k, incomplete_e, jacobi_sncndn, sncndn_of
 
 
 def quad_K(k):
@@ -97,11 +97,18 @@ def test_sncndn_domain_errors():
         jacobi_sncndn(1.0, -0.1)
     with pytest.raises(ValueError):
         jacobi_sncndn(1.0, 1.1)
+    # the evaluator checks its modulus when built and its argument on every call
+    with pytest.raises(ValueError, match="modulus"):
+        sncndn_of(1.1)
+    for k in (0.0, 0.6, 1.0):
+        with pytest.raises(ValueError, match="^argument must be finite"):
+            sncndn_of(k)(math.nan)
 
 
 def test_complete_k_values():
     assert complete_k(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
-    for k in (0.3, 0.5, 0.9):
+    # at k = 0.6 and 0.97 the two means settle one ulp apart and never meet
+    for k in (0.3, 0.5, 0.6, 0.9, 0.97):
         assert complete_k(k) == pytest.approx(quad_K(k), abs=1e-12)
 
 

@@ -70,13 +70,11 @@ def test_resample_needs_seven_points():
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step=-1.0)
 
 
 @pytest.mark.parametrize("field, value", [
     ("rel_tol", math.nan), ("rel_tol", math.inf), ("abs_tol", math.nan),
-    ("abs_tol", math.inf), ("max_step", math.nan),
+    ("abs_tol", math.inf),
     ("output_points_per_period", 0), ("output_points_per_period", -5),
     ("output_points_per_period", 2.5),
 ])
@@ -84,11 +82,6 @@ def test_config_rejects_bad_setting_by_name(field, value):
     # every comparison with NaN is False, so a bare `<= 0` check lets it through
     with pytest.raises(ValueError, match=f"^{field} must be"):
         IntegratorConfig(**{field: value})
-
-
-def test_config_keeps_unlimited_max_step():
-    assert IntegratorConfig().max_step == math.inf
-    assert IntegratorConfig(max_step=0.5, output_points_per_period=1).max_step == 0.5
 
 
 def test_non_finite_step_rejected():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import ellipj
 
 from spinhodo.integrator import IntegratorConfig, integrate, resample_uniform
 from spinhodo.qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
@@ -12,6 +13,7 @@ from spinhodo.qubit import (DampingParams, FieldMode, FieldParams, InitialAngles
                             bloch_length, bloch_rhs,
                             closed_trajectory_amplitude_qubit, field_at,
                             make_bloch_rhs, qubit_energy, spin_flip_probability)
+from spinhodo.qutrit import AnisotropyParams, make_qutrit_rhs_real
 
 ACOS13 = math.acos(1.0 / math.sqrt(3.0))
 
@@ -62,6 +64,20 @@ def test_field_array_matches_scalar_calls(fp):
     assert field_at(ts, fp).shape == (len(ts), 3)
     assert np.allclose(field_at(ts, fp), stacked, rtol=1e-15, atol=0.0)
     assert field_at(0.4, fp).shape == (3,)
+
+
+@pytest.mark.parametrize("k", [0.3, 0.6, 0.97])
+def test_drive_arrays_match_scipy(k):
+    # u = omega t spans more than one real period 4K(k) for each modulus
+    w = 0.7
+    ts = np.linspace(-3.0, 20.0, 257)
+    sn, cn, dn, _ = ellipj(w * ts, k * k)
+    fields = field_at(ts, FieldParams.elliptic(1.0, 1.0, w, k))
+    assert np.max(np.abs(fields - np.stack([cn, sn, dn], axis=-1))) < 1e-14
+    R = analytic_elliptic_resonance(ts, 0.4, w, k, gamma=0.05)
+    sh = np.sin(0.4 * ts)
+    ref = np.stack([sn * sh, -cn * sh, np.cos(0.4 * ts)], axis=-1) * np.exp(-0.05 * ts)[:, None]
+    assert np.max(np.abs(R - ref)) < 1e-14
 
 
 @pytest.mark.parametrize("name, make", [
@@ -127,12 +143,24 @@ def test_rhs_pure_decay():
 
 
 def test_make_bloch_rhs_matches_bloch_rhs():
-    fp = FieldParams.elliptic(0.4, 0.3, 0.7, 0.6)
     dp = DampingParams(0.1, 0.25, 0.4)
-    rhs = make_bloch_rhs(fp, dp)
     R = np.array([0.1, 0.5, -0.3])
-    for t in (0.0, 1.3, 4.1):
-        assert np.allclose(rhs(t, R), bloch_rhs(t, R, fp, dp), atol=1e-15)
+    for fp in (FieldParams.circular(0.7, 0.3, 1.1), FieldParams.linear(-0.4, 0.2, 0.8),
+               FieldParams.elliptic(0.4, 0.3, 0.7, 0.6), FieldParams.elliptic(0.4, 0.3, 0.7, 1.0)):
+        rhs = make_bloch_rhs(fp, dp)
+        for t in (0.0, 1.3, 4.1):
+            assert np.allclose(rhs(t, R), bloch_rhs(t, R, fp, dp), atol=1e-15)
+
+
+@pytest.mark.parametrize("make_rhs, y", [
+    (lambda fp: make_bloch_rhs(fp, DampingParams()), np.array([0.0, 0.0, 1.0])),
+    (lambda fp: make_qutrit_rhs_real(fp, AnisotropyParams(1.0, 0.2)), np.ones(8)),
+], ids=["qubit", "qutrit"])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_rhs_rejects_non_finite_time(make_rhs, y, t):
+    rhs = make_rhs(FieldParams.elliptic(0.5, 0.3, 0.7, 0.6))
+    with pytest.raises(ValueError, match="^argument must be finite"):
+        rhs(t, y)
 
 
 # ------------------------------------------------------------ exact forms
