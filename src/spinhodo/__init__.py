@@ -15,23 +15,26 @@ from .geometry import (adjoining_sphere_residual, angular_velocities,
 from .integrator import IntegratorConfig, Trajectory, integrate, resample_uniform
 from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     analytic_elliptic_resonance, analytic_rabi_general,
-                    bloch_length, bloch_rhs, closed_trajectory_amplitude_qubit,
-                    field_at, make_bloch_rhs, qubit_energy,
-                    spin_flip_probability)
+                    bloch_generators, bloch_length, bloch_rhs,
+                    closed_trajectory_amplitude_qubit, eom_jets, field_at,
+                    make_bloch_rhs, qubit_energy, spin_flip_probability)
 from .qutrit import (AnisotropyParams, Populations, analytic_qutrit_resonance,
                      bloch8_from_density, closed_trajectory_amplitude_qutrit,
-                     evolve_density, populations, qutrit_hamiltonian,
-                     qutrit_polarization, qutrit_rhs, two_photon_frequency)
+                     evolve_density, populations, qutrit_generators,
+                     qutrit_hamiltonian, qutrit_polarization, qutrit_rhs,
+                     two_photon_frequency)
 
 __all__ = [
     "__version__",
     "jacobi_sncndn", "complete_k", "incomplete_e",
     "IntegratorConfig", "Trajectory", "integrate", "resample_uniform",
     "FieldMode", "FieldParams", "DampingParams", "InitialAngles",
-    "field_at", "bloch_rhs", "make_bloch_rhs", "analytic_rabi_general",
+    "field_at", "bloch_rhs", "make_bloch_rhs", "bloch_generators", "eom_jets",
+    "analytic_rabi_general",
     "analytic_elliptic_resonance", "spin_flip_probability", "bloch_length",
     "qubit_energy", "closed_trajectory_amplitude_qubit",
     "AnisotropyParams", "Populations", "qutrit_hamiltonian", "qutrit_rhs",
+    "qutrit_generators",
     "bloch8_from_density", "populations", "qutrit_polarization",
     "analytic_qutrit_resonance", "closed_trajectory_amplitude_qutrit",
     "evolve_density", "two_photon_frequency",

@@ -20,16 +20,16 @@ from . import __version__
 from .elliptic import complete_k
 from .geometry import (count_torsion_sign_changes, detect_cusps, detect_loops,
                        frenet_geometry)
-from .integrator import IntegratorConfig, resample_uniform
+from .integrator import IntegratorConfig, integrate, resample_uniform
 from .presets import PRESETS, check_caption_value
 from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     analytic_elliptic_resonance, analytic_rabi_general,
-                    closed_trajectory_amplitude_qubit, field_at,
-                    make_bloch_rhs, qubit_energy)
+                    bloch_generators, closed_trajectory_amplitude_qubit,
+                    eom_jets, field_at, make_bloch_rhs, qubit_energy)
 from .qutrit import (AnisotropyParams, analytic_qutrit_resonance,
                      bloch8_from_density, closed_trajectory_amplitude_qutrit,
                      initial_density_north, make_qutrit_rhs_real,
-                     polarization_series, qutrit_energy)
+                     polarization_series, qutrit_energy, qutrit_generators)
 
 __all__ = ["run_preset", "simulate", "closure_search", "main", "UnsupportedAnalytic"]
 
@@ -49,9 +49,11 @@ def default_config():
 
 # ----------------------------------------------------------------- running
 #
-# Both systems simulate into one record: the solve (`traj`), the unit
-# direction `p` drawn on the hodograph, the drive `fields`, the state and
-# system-specific columns of trajectory.csv in file order, and the
+# Both systems simulate into one record: the solve (`traj`), the equation
+# of motion `eom` it solved, as (drive, generator stack, constant term) for
+# eom_jets, the unit direction `p` drawn on the hodograph (that of the first
+# three state components in both systems), the drive `fields`, the state
+# and system-specific columns of trajectory.csv in file order, and the
 # system-specific observed ranges in report order.
 
 def _range(x):
@@ -60,7 +62,7 @@ def _range(x):
 
 
 def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
-    traj = resample_uniform(make_bloch_rhs(fp, dp), n_out, init.bloch(), (0.0, duration), cfg)
+    traj = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, duration), cfg, n_out)
     R = traj.states
     lengths = np.linalg.norm(R, axis=1)
     if np.min(lengths) < 1e-12:
@@ -69,6 +71,7 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
     flip = (1.0 - R[:, 2]) / 2.0
     return {
         "traj": traj, "p": R / lengths[:, None], "fields": fields,
+        "eom": (fp, *bloch_generators(fp, dp)),
         "state_columns": {f"R{i + 1}": R[:, i] for i in range(3)},
         "extra_columns": {"P": flip, "E": qubit_energy(R, fields)},
         "extra_observed": {"flip_probability": _range(flip),
@@ -77,8 +80,12 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
 
 
 def _simulate_qutrit(fp, ap, duration, cfg, n_out):
-    traj = resample_uniform(make_qutrit_rhs_real(fp, ap), n_out,
-                            bloch8_from_density(initial_density_north()), (0.0, duration), cfg)
+    if fp.h1 == 0.0 and fp.h2 == 0.0:
+        raise ValueError("a qutrit run needs a nonzero transverse amplitude h: with "
+                         "h = 0 the spin part of q stays on the z axis, so there is "
+                         "no hodograph")
+    traj = integrate(make_qutrit_rhs_real(fp, ap),
+                     bloch8_from_density(initial_density_north()), (0.0, duration), cfg, n_out)
     qs = traj.states
     p = polarization_series(qs)
     if np.any(~np.isfinite(p)):
@@ -92,6 +99,7 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
     fields = field_at(traj.times, fp)
     return {
         "traj": traj, "p": p, "fields": fields,
+        "eom": (fp, *qutrit_generators(fp, ap)),
         "state_columns": {f"q{i + 1}": qs[:, i] for i in range(8)},
         "extra_columns": {"P_plus": pops["p_plus"], "P_zero": pops["p_zero"],
                           "P_minus": pops["p_minus"], "E": qutrit_energy(qs, fields, ap)},
@@ -142,7 +150,12 @@ def _caption_checks(expected, obs, events):
 
 
 def _analyze(sim, expected=None):
-    series = frenet_geometry(sim["traj"].times, sim["p"])
+    traj = sim["traj"]
+    series = frenet_geometry(traj.times, traj.states[:, :3],
+                             *eom_jets(*sim["eom"], traj.times, traj.states))
+    if not series.valid.any():
+        raise ValueError("the direction never moves (its speed is below the floor on "
+                         "every sample), so there is no hodograph")
     obs = _observed_ranges(sim, series)
     ev = _events(sim, series)
     checks = _caption_checks(expected, obs, ev) if expected else None

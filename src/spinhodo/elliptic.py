@@ -40,6 +40,14 @@ def _check_argument(u):
         raise ValueError(f"argument must be finite, got {u!r}")
 
 
+def _finite_array(u):
+    u = np.asarray(u, dtype=float)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise ValueError(f"argument must be finite, got {u[bad][0]!r}")
+    return u
+
+
 def _check_modulus(k):
     if not (isinstance(k, (int, float)) and math.isfinite(k)):
         raise ValueError(f"elliptic modulus must be a finite real, got {k!r}")
@@ -54,16 +62,29 @@ def sncndn_of(k):
     k=1 (hyperbolic) are closed forms; for 0 < k < 1 the descending-Landen
     AGM ladder is built here, so each call does only the back substitution
     (a backward recurrence for dn).  Every call rejects a non-finite u.
+
+    A scalar u (ndim 0) is evaluated with `math`, which is what the
+    right-hand sides call once per stage; an array u is evaluated
+    elementwise with numpy by the same arithmetic and gives three arrays of
+    its shape.
     """
     _check_modulus(k)
 
     if k == 0.0:
         def sncndn(u):
+            if not isinstance(u, float) and np.ndim(u):
+                u = _finite_array(u)
+                return np.sin(u), np.cos(u), np.ones_like(u)
             _check_argument(u)
             return math.sin(u), math.cos(u), 1.0
         return sncndn
     if k == 1.0:
         def sncndn(u):
+            if not isinstance(u, float) and np.ndim(u):
+                u = _finite_array(u)
+                with np.errstate(over="ignore"):   # sech underflows to 0 past |u| = 710
+                    sech = 1.0 / np.cosh(u)
+                return np.tanh(u), sech, sech.copy()   # cn and dn: two arrays
             _check_argument(u)
             sech = 1.0 / math.cosh(u)
             return math.tanh(u), sech, sech
@@ -84,7 +105,32 @@ def sncndn_of(k):
         a = scale
     rungs.reverse()
 
+    def sncndn_array(u):
+        u = _finite_array(u)
+        v = scale * u
+        sn, cn = np.sin(v), np.cos(v)
+        dn = np.ones_like(v)
+        # elements with sn = 0 keep (sin, cos, 1) and small ones (u, 1, 1), as
+        # in the scalar branch; the recurrence runs on every element
+        live = (sn != 0.0) & (np.abs(u) >= _SMALL_U)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = cn / sn
+            c = scale * a
+            for b, e in rungs:
+                a *= c
+                c *= dn
+                dn = (e + a) / (b + a)
+                a = c / b
+            a = np.copysign(1.0 / np.sqrt(c * c + 1.0), sn)
+            c *= a
+        small = np.abs(u) < _SMALL_U
+        return (np.where(live, a, np.where(small, u, sn)),
+                np.where(live, c, np.where(small, 1.0, cn)),
+                np.where(live, dn, 1.0))
+
     def sncndn(u):
+        if not isinstance(u, float) and np.ndim(u):
+            return sncndn_array(u)
         _check_argument(u)
         if abs(u) < _SMALL_U:
             # the back substitution divides by sn and overflows for |u| below

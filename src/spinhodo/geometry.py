@@ -3,9 +3,12 @@ precession/nutation rates, Frenet curvature/torsion/speed/arc length, the
 osculating-sphere identity, closed-form resonance geometry, and cusp/loop
 event detection.
 
-Derivatives are 7-point finite differences on a uniform grid (Fornberg
-weights, shifted windows at the edges), which keeps the third derivative
-needed by the torsion at 4th-order accuracy without interpolation noise.
+The Frenet layer takes the first three time derivatives of the sampled
+vector from the equations of motion (:func:`~spinhodo.qubit.eom_jets`), so
+curvature and torsion carry no differencing error.  Only the rate of the
+curvature series, for the osculating-sphere identity, is a 7-point finite
+difference on the uniform grid (Fornberg weights, shifted windows at the
+edges).
 
 Event detectors are vectorised over samples.  Loop detection tests chord
 pairs of the subsampled polyline with a great-circle predicate; a padded
@@ -33,7 +36,7 @@ __all__ = [
 _STENCIL = 7
 _POLE_RHO = 1e-4          # below this transverse radius phi and the rates are flagged
 _SPEED_FLOOR = 1e-6       # |p'| below this leaves curvature/torsion unreliable
-_TORSION_DEADBAND = 1e-12
+_TORSION_BAND = 1e-9      # torsion signs count beyond this share of max |torsion|
 _TILE = 64                # chord pairs are filtered in _TILE x _TILE blocks
 _SHORT_ARC = 1e-10        # |a x b| below this: the arc gets no bounding ball
 _BALL_PAD = 1e-9          # covers the 1e-12 predicate slack and rounding
@@ -194,29 +197,32 @@ def _unwrap_skipping(phi_raw, defined):
     return phi
 
 
-def frenet_geometry(times, p):
-    """Frenet diagnostics of a unit-vector trajectory on a uniform grid.
+def frenet_geometry(times, s, ds, d2s, d3s):
+    """Frenet diagnostics of the direction p = s/|s| of a sampled vector s.
 
-    Returns a :class:`GeometrySeries` with curvature |p' x p''|/|p'|^3,
-    torsion (p', p'', p''')/|p' x p''|^2, speed |p'|, cumulative arc
-    length, spherical angles (phi unwrapped), and the angular rates from
-    finite differences of p.
+    `s` and its first three time derivatives, each (n, 3) on a uniform time
+    grid, come from the equations of motion (:func:`~spinhodo.qubit.eom_jets`),
+    so no derivative is taken numerically; p', p'' and p''' follow from them
+    by the quotient rule.  Returns a :class:`GeometrySeries` with curvature
+    |p' x p''|/|p'|^3, torsion (p', p'', p''')/|p' x p''|^2, speed |p'|,
+    cumulative arc length, spherical angles (phi unwrapped), and the angular
+    rates of p.
     """
     times = np.asarray(times, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if len(times) < _STENCIL:
-        raise ValueError(f"need at least {_STENCIL} samples")
+    s, ds, d2s, d3s = (np.asarray(x, dtype=float) for x in (s, ds, d2s, d3s))
+    if len(times) < 2:
+        raise ValueError("need at least 2 samples")
+    if not s.shape == ds.shape == d2s.shape == d3s.shape == (len(times), 3):
+        raise ValueError("s and its three derivatives must each have shape (n, 3)")
     dts = np.diff(times)
     dt = dts[0]
     if np.max(np.abs(dts - dt)) > 1e-9 * max(abs(dt), 1e-30):
         raise ValueError("time grid must be uniform")
-    norms = np.linalg.norm(p, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-6:
-        raise ValueError("trajectory is not on the unit sphere")
+    norms = np.linalg.norm(s, axis=1)
+    if not np.all(norms > 0.0):
+        raise ValueError("s vanishes or is not finite: direction undefined")
 
-    d1 = fd_derivative(p, dt, 1)
-    d2 = fd_derivative(p, dt, 2)
-    d3 = fd_derivative(p, dt, 3)
+    p, d1, d2, d3 = _direction_jets(s, ds, d2s, d3s, norms)
 
     speed = np.linalg.norm(d1, axis=1)
     cross = np.cross(d1, d2)
@@ -226,8 +232,9 @@ def frenet_geometry(times, p):
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = np.where(valid, ncross / np.maximum(speed, 1e-300) ** 3, np.nan)
         torsion = np.where(valid & (ncross > 1e-300),
-                           np.einsum("ij,ij->i", cross, d3) / np.maximum(ncross, 1e-300) ** 2,
+                           _rowdot(cross, d3) / np.maximum(ncross, 1e-300) ** 2,
                            np.nan)
+    del d2, d3, cross   # p and p' are all the angles below need
     arc = _cumulative_parabolic(speed, dt)
 
     theta = np.arccos(np.clip(p[:, 2], -1.0, 1.0))
@@ -245,6 +252,41 @@ def frenet_geometry(times, p):
 
     return GeometrySeries(times, theta, phi, theta_dot, phi_dot,
                           curvature, torsion, speed, arc, valid, pole)
+
+
+def _direction_jets(s, ds, d2s, d3s, norms):
+    """p = s/|s| and its first three derivatives, by the quotient rule.
+
+    With p = u s, u = |s|^-1, a = |s|^2 and e_j = a^(j)/a, the ratios u^(j)/u
+    are -e1/2, 3 e1^2/4 - e2/2 and -15 e1^3/8 + 9 e1 e2/4 - e3/2, and
+    p^(j) = u sum_i C(j, i) (u^(i)/u) s^(j-i).
+    """
+    a = norms * norms
+    e1 = 2.0 * _rowdot(s, ds) / a
+    e2 = 2.0 * (_rowdot(ds, ds) + _rowdot(s, d2s)) / a
+    e3 = 2.0 * (3.0 * _rowdot(ds, d2s) + _rowdot(s, d3s)) / a
+    u1 = (-0.5 * e1)[:, None]
+    u2 = (0.75 * e1 * e1 - 0.5 * e2)[:, None]
+    u3 = (-1.875 * e1 ** 3 + 2.25 * e1 * e2 - 0.5 * e3)[:, None]
+    norms = norms[:, None]
+    # summed in place, so one (n, 3) temporary is alive at a time
+    d1 = u1 * s
+    d1 += ds
+    d1 /= norms
+    d2 = u2 * s
+    d2 += (2.0 * u1) * ds
+    d2 += d2s
+    d2 /= norms
+    d3 = u3 * s
+    d3 += (3.0 * u2) * ds
+    d3 += (3.0 * u1) * d2s
+    d3 += d3s
+    d3 /= norms
+    return s / norms, d1, d2, d3
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
 
 
 def resonance_geometry(t, h, omega):
@@ -336,18 +378,22 @@ def detect_cusps(series, speed_factor=0.05, curvature_factor=50.0):
             for i in np.flatnonzero(cusp) + 1]
 
 
-def count_torsion_sign_changes(torsion, deadband=_TORSION_DEADBAND):
+def count_torsion_sign_changes(torsion, rel_band=_TORSION_BAND):
     """Count sign flips of the torsion sequence.
 
-    Values beyond the dead-band use hysteresis counting (a flip must cross
-    from one side of the band to the other); if the whole sequence sits
-    inside the dead-band, raw sign crossings of the sequence are counted
-    instead, so near-zero torsion still reports its flip count.
+    A sign is read only where |torsion| exceeds `rel_band` times the largest
+    |torsion| of the sequence, and a flip must cross from one side of that
+    band to the other (hysteresis).  The band scales with the sequence
+    because the error of a computed torsion does: where the exact torsion
+    has a zero it touches or ends on (fig8-fig10 end on one at t = 16 pi),
+    the computed value is noise many orders below the torsion's scale, and
+    a fixed band would count its sign.
     """
     kap = np.asarray(torsion, dtype=float)
     kap = kap[np.isfinite(kap)]
-    band = deadband if np.any(np.abs(kap) > deadband) else 0.0
-    s = np.sign(kap) * (np.abs(kap) > band)
+    if kap.size == 0:
+        return 0
+    s = np.sign(kap) * (np.abs(kap) > rel_band * np.max(np.abs(kap)))
     s = s[s != 0]
     return int(np.count_nonzero(s[1:] != s[:-1]))
 

@@ -25,7 +25,7 @@ from .elliptic import sncndn_of
 
 __all__ = [
     "FieldMode", "FieldParams", "DampingParams", "InitialAngles",
-    "field_at", "bloch_rhs", "make_bloch_rhs",
+    "field_at", "bloch_rhs", "make_bloch_rhs", "bloch_generators", "eom_jets",
     "analytic_rabi_general", "analytic_elliptic_resonance",
     "spin_flip_probability", "bloch_length", "qubit_energy",
     "closed_trajectory_amplitude_qubit",
@@ -135,9 +135,12 @@ class InitialAngles:
 def field_at(t, fp):
     """Drive field at time t: shape (3,) for a scalar t, (..., 3) for an
     array of times."""
-    sn, cn, dn = np.vectorize(sncndn_of(fp.k), otypes=[float, float, float])(
-        fp.omega * np.asarray(t, dtype=float))
-    return np.stack([fp.h1 * cn, fp.h2 * sn, fp.H * dn], axis=-1)
+    sn, cn, dn = sncndn_of(fp.k)(fp.omega * np.asarray(t, dtype=float))
+    h = np.empty(np.shape(sn) + (3,))
+    np.multiply(fp.h1, cn, out=h[..., 0])
+    np.multiply(fp.h2, sn, out=h[..., 1])
+    np.multiply(fp.H, dn, out=h[..., 2])
+    return h
 
 
 def bloch_rhs(t, R, fp, dp):
@@ -166,6 +169,69 @@ def make_bloch_rhs(fp, dp):
     return rhs
 
 
+def bloch_generators(fp, dp):
+    """The coherence-vector equation as R' = M(t) R + b, for :func:`eom_jets`.
+
+    M(t) = G0 + cn G1 + sn G2 + dn G3 at the drive argument omega t, with
+    G0 = -diag(gamma2, gamma2, gamma1) and G1, G2, G3 the cross-product
+    matrices of (h1, 0, 0), (0, h2, 0) and (0, 0, H); b = (0, 0, gamma1 r_eq).
+    Returns the stack G, shape (4, 3, 3), and b, shape (3,).
+    """
+    G = np.zeros((4, 3, 3))
+    G[0] = np.diag([-dp.gamma2, -dp.gamma2, -dp.gamma1])
+    G[1, 2, 1], G[1, 1, 2] = fp.h1, -fp.h1
+    G[2, 0, 2], G[2, 2, 0] = fp.h2, -fp.h2
+    G[3, 1, 0], G[3, 0, 1] = fp.H, -fp.H
+    return G, np.array([0.0, 0.0, dp.gamma1 * dp.r_eq])
+
+
+_JET_BLOCK_ROWS = 256   # samples per block of eom_jets; bounds the temporaries
+
+
+def eom_jets(fp, G, b, t, y):
+    """First three time derivatives of the spin part of samples y of
+    y' = M(t) y + b.
+
+    M(t) = sum_i w_i G_i over the stack G of shape (4, dim, dim), weighted
+    by w = (1, cn, sn, dn) of the drive fp at omega t; b is constant.  The
+    equation of motion gives the derivatives exactly:
+
+        y' = M y + b,   y'' = M' y + M y',   y''' = M'' y + 2 M' y' + M y'',
+
+    with w' and w'' from sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn (each
+    times omega).  Each generator is applied to the states, a block of
+    rows at a time, so no per-sample matrix is built.  Both systems keep
+    their spin vector in the first three components; the derivatives of
+    those are returned, as three arrays of shape (n, 3).
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    drive, w, m = sncndn_of(fp.k), fp.omega, fp.k * fp.k
+    Gt = np.asarray(G, dtype=float).transpose(0, 2, 1)
+    jets = np.empty((3, len(t), 3))
+    for r0 in range(0, len(t), _JET_BLOCK_ROWS):
+        rows = slice(r0, r0 + _JET_BLOCK_ROWS)
+        sn, cn, dn = drive(w * t[rows])
+        zero = np.zeros_like(sn)
+        w0 = np.stack([np.ones_like(sn), cn, sn, dn], axis=-1)
+        w1 = w * np.stack([zero, -sn * dn, cn * dn, -m * sn * cn], axis=-1)
+        w2 = (w * w) * np.stack([zero, cn * (m * sn * sn - dn * dn),
+                                 -sn * (dn * dn + m * cn * cn),
+                                 m * dn * (sn * sn - cn * cn)], axis=-1)
+        Gy = y[rows] @ Gt                    # (4, rows, dim): each G_i applied
+        d1 = _weigh(w0, Gy) + b
+        Gd1 = d1 @ Gt
+        d2 = _weigh(w1, Gy) + _weigh(w0, Gd1)
+        d3 = _weigh(w2, Gy) + 2.0 * _weigh(w1, Gd1) + _weigh(w0, d2 @ Gt)
+        jets[:, rows] = d1[:, :3], d2[:, :3], d3[:, :3]
+    return jets[0], jets[1], jets[2]
+
+
+def _weigh(w, Gy):
+    """Row n of the result is sum_i w[n, i] Gy[i, n]."""
+    return np.einsum("ni,inj->nj", w, Gy)
+
+
 def _sinc_factors(Om, t):
     """S = sin(Om t)/Om and C2 = (1 - cos(Om t))/Om^2, cancellation-free.
 
@@ -177,8 +243,8 @@ def _sinc_factors(Om, t):
         return t.copy(), 0.5 * t * t
     x = Om * np.asarray(t, dtype=float)
     S = np.sin(x) / Om
-    half = np.sin(0.5 * x)
-    C2 = 2.0 * half * half / (Om * Om)
+    half = np.sin(0.5 * x) / Om       # Om * Om underflows for a subnormal Om
+    C2 = 2.0 * half * half
     return S, C2
 
 
@@ -219,7 +285,7 @@ def analytic_elliptic_resonance(t, h, omega, k, gamma=0.0):
         R = e^{-gamma t} (sn(wt|k) sin ht, -cn(wt|k) sin ht, cos ht).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    sn, cn, _ = np.vectorize(sncndn_of(k), otypes=[float, float, float])(omega * t_arr)
+    sn, cn, _ = sncndn_of(k)(omega * t_arr)
     sh, ch = np.sin(h * t_arr), np.cos(h * t_arr)
     R = np.stack([sn * sh, -cn * sh, ch], axis=-1)
     if gamma != 0.0:

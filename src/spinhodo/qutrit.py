@@ -26,7 +26,7 @@ from .qubit import field_at
 
 __all__ = [
     "S1", "S2", "S3", "LAMBDA8", "AnisotropyParams", "Populations",
-    "qutrit_hamiltonian", "qutrit_rhs", "make_qutrit_rhs_real",
+    "qutrit_hamiltonian", "qutrit_rhs", "make_qutrit_rhs_real", "qutrit_generators",
     "qutrit_energy", "bloch8_from_density", "populations", "qutrit_polarization",
     "polarization_series", "analytic_qutrit_resonance",
     "closed_trajectory_amplitude_qutrit", "evolve_density",
@@ -35,6 +35,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT32 = math.sqrt(1.5)
+# below this f of the resonance closed form, f**2 leaves the normal range;
+# the couplings are then so weak that the frozen initial vector is exact to
+# rounding for any |t| below 1e100
+_F_FROZEN = 1e-150
 
 # spin-1 matrices, ladder normalization, basis (m = +1, 0, -1)
 S1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
@@ -108,15 +112,26 @@ def qutrit_rhs(t, rho, fp, ap):
     return -1j * (H @ rho - rho @ H)
 
 
+def qutrit_generators(fp, ap):
+    """The coherence-vector equation as q' = M(t) q + b, for
+    :func:`~spinhodo.qubit.eom_jets`.
+
+    M(t) = (Q G_Q + d G_D) + cn h1 G1 + sn h2 G2 + dn H G3 at the drive
+    argument omega t; the evolution is unitary, so b = 0.  Returns the stack,
+    shape (4, 8, 8), and b, shape (8,).
+    """
+    g1, g2, g3, gq, gd = _GEN
+    return np.stack([ap.Q * gq + ap.d * gd, fp.h1 * g1, fp.h2 * g2, fp.H * g3]), np.zeros(8)
+
+
 def make_qutrit_rhs_real(fp, ap):
     """Coherence-vector form q' = M(t) q of the unitary evolution (dim 8).
 
-    M(t) = h1(t) G1 + h2(t) G2 + h3(t) G3 + Q G_Q + d G_D; the anisotropy
-    terms are summed once, and each call weights the stacked generators by
-    (1, cn, sn, dn) of the drive and applies the result to q.
+    M(t) = h1(t) G1 + h2(t) G2 + h3(t) G3 + Q G_Q + d G_D; each call weights
+    the stack of :func:`qutrit_generators` by (1, cn, sn, dn) of the drive
+    and applies the result to q.
     """
-    g1, g2, g3, gq, gd = _GEN.reshape(5, 64)
-    gens = np.stack([ap.Q * gq + ap.d * gd, fp.h1 * g1, fp.h2 * g2, fp.H * g3])
+    gens = qutrit_generators(fp, ap)[0].reshape(4, 64)
     drive, w = sncndn_of(fp.k), fp.omega
 
     def rhs(t, q):
@@ -191,12 +206,13 @@ def analytic_qutrit_resonance(t, h, Q, omega):
     """Exact 8-component coherence vector at resonance (drive frequency equal
     to the longitudinal field), axial anisotropy only, north-pole start.
 
-    f = sqrt(4 h^2 + Q^2) sets the beat structure; f = 0 returns the frozen
-    initial vector (nothing couples).  Accepts scalar or array t.
+    f = sqrt(4 h^2 + Q^2) sets the beat structure; f = 0 (and any f below
+    1e-150) returns the frozen initial vector (nothing couples).  Accepts
+    scalar or array t.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     f = math.hypot(2.0 * h, Q)
-    if f == 0.0:
+    if f < _F_FROZEN:
         q = np.zeros(t_arr.shape + (8,))
         q[..., 2] = _SQRT32
         q[..., 5] = 1.0 / _SQRT2

@@ -258,11 +258,23 @@ def test_qutrit_natural_period_counts_d(tmp_path, capsys):
     assert np.max(np.abs(traj.states[-1] - q0)) < 1e-8
     assert np.max(np.abs(traj.states[1000] - q0)) > 1.0     # m = -1 full at half the period
     # the run gets past the period; with no transverse field the spin part of q
-    # stays on the z axis and vanishes at a quarter period, so there is no hodograph
-    assert main(argv + ["--d", "1"]) == 2
-    assert "polarization direction undefined" in capsys.readouterr().err
+    # stays on the z axis, so there is no hodograph, and the run is rejected
+    # before integrating, whatever its length
+    for periods in ("1", "0.2"):
+        assert main(argv + ["--d", "1", "--periods", periods]) == 2
+        assert "nonzero transverse amplitude h" in capsys.readouterr().err
     assert main(argv + ["--d", "0"]) == 2
     assert "degenerate parameters" in capsys.readouterr().err
+
+
+def test_main_rejects_a_run_without_hodograph(tmp_path, capsys):
+    # a near-zero drive leaves the qubit at the pole; the first trial step
+    # used to evaluate sech past |u| = 710 and raise OverflowError
+    code = main(["simulate", "--system", "qubit", "--mode", "elliptic", "--modulus", "1",
+                 "--h", "1e-8", "--H", "1", "--omega", "1", "--duration", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "no hodograph" in capsys.readouterr().err
 
 
 def test_main_elliptic_natural_period(tmp_path):

@@ -101,8 +101,28 @@ def test_sncndn_domain_errors():
     with pytest.raises(ValueError, match="modulus"):
         sncndn_of(1.1)
     for k in (0.0, 0.6, 1.0):
-        with pytest.raises(ValueError, match="^argument must be finite"):
-            sncndn_of(k)(math.nan)
+        for u in (math.nan, np.array([0.3, -math.inf, 1.0]), np.full((2, 2), math.nan)):
+            with pytest.raises(ValueError, match="^argument must be finite"):
+                sncndn_of(k)(u)
+
+
+# |u| < 1e-8 takes the (u, 1, 1) branch; 0.0 and -0.0 sit on it
+TINY_ARGS = [0.0, -0.0, 1e-300, -3e-9, 9.99e-9, 1e-8, -1e-8, 1.1e-8]
+
+
+@pytest.mark.parametrize("k", [0.0, 0.6, 1.0])
+def test_sncndn_array_matches_scalar(k):
+    f = sncndn_of(k)
+    u = np.concatenate([np.linspace(-40.0, 40.0, 1601), TINY_ARGS])
+    arrays = np.array(f(u))
+    scalars = np.array([f(float(x)) for x in u]).T
+    # the same arithmetic; numpy's elementary functions may round an ulp
+    # apart from math's (tanh and cosh at k = 1 do here)
+    assert np.max(np.abs(arrays - scalars)) <= 2 * np.spacing(1.0)
+    assert np.array_equal(np.signbit(arrays[0][-8:]), np.signbit(scalars[0][-8:]))
+    grid = f(u[:1600].reshape(40, 40))
+    assert all(a.shape == (40, 40) for a in grid)
+    assert all(isinstance(v, float) for v in f(np.float64(0.3)) + f(np.array(0.3)))
 
 
 def test_complete_k_values():

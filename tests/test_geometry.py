@@ -1,5 +1,9 @@
 """Geometry tests: stencils, angles, angular velocities, Frenet quantities,
-resonance closed forms, osculating-sphere identity, event detectors."""
+resonance closed forms, osculating-sphere identity, event detectors.
+
+The Frenet layer takes a vector and its first three time derivatives; the
+closed-form trajectories here get theirs exactly, from the equation of
+motion (`with_jets`)."""
 
 import math
 import tracemalloc
@@ -12,7 +16,8 @@ from spinhodo.geometry import (LoopEvent, adjoining_sphere_residual,
                                curvature_rate, detect_cusps, detect_loops,
                                fd_derivative, fornberg_weights, frenet_geometry,
                                resonance_geometry, spherical_angles)
-from spinhodo.qubit import (FieldParams, InitialAngles, analytic_rabi_general,
+from spinhodo.qubit import (DampingParams, FieldParams, InitialAngles,
+                            analytic_rabi_general, bloch_generators, eom_jets,
                             field_at)
 
 ACOS13 = math.acos(1.0 / math.sqrt(3.0))
@@ -31,6 +36,12 @@ def resonance_trajectory(h, w, n, n_periods=1.0):
     ts = np.linspace(0.0, T, n)
     R = analytic_rabi_general(ts, InitialAngles(0.0, 0.0), h, w, w, 0.0)
     return ts, R
+
+
+def with_jets(ts, R, h, H, w):
+    """Undamped circular-drive samples R with their first three derivatives."""
+    fp = FieldParams.circular(h, H, w)
+    return (R, *eom_jets(fp, *bloch_generators(fp, DampingParams()), ts, R))
 
 
 # ----------------------------------------------------------------- stencils
@@ -84,7 +95,7 @@ def test_spherical_angles_examples():
 
 def test_phi_unwrap_is_continuous():
     ts, p = rabi_unit_trajectory(ACOS13, 0.0, -0.6, 0.45, 3.0, 3, 3001)
-    series = frenet_geometry(ts, p)
+    series = frenet_geometry(ts, *with_jets(ts, p, -0.6, 0.45, 3.0))
     dphi = np.diff(series.phi[~series.pole])
     assert np.nanmax(np.abs(dphi)) < 0.5   # no 2 pi jumps survive unwrapping
 
@@ -161,8 +172,11 @@ def test_great_circle_geometry():
     # equatorial precession in a purely longitudinal field
     Hl = 0.8
     ts = np.linspace(0.0, 2 * math.pi / Hl, 1001)
-    p = np.stack([np.cos(Hl * ts), np.sin(Hl * ts), np.zeros_like(ts)], axis=1)
-    series = frenet_geometry(ts, p)
+    c, s, z = np.cos(Hl * ts), np.sin(Hl * ts), np.zeros_like(ts)
+    jets = [np.stack(v, axis=1) for v in ((c, s, z), (-Hl * s, Hl * c, z),
+                                          (-Hl ** 2 * c, -Hl ** 2 * s, z),
+                                          (Hl ** 3 * s, -Hl ** 3 * c, z))]
+    series = frenet_geometry(ts, *jets)
     assert np.nanmax(np.abs(series.curvature - 1.0)) < 1e-8
     assert np.nanmax(np.abs(series.torsion)) < 1e-6
     assert np.max(np.abs(series.speed - Hl)) < 1e-10
@@ -171,21 +185,29 @@ def test_great_circle_geometry():
 
 def test_frenet_validation():
     ts = np.linspace(0, 1, 30)
-    p = np.zeros((30, 3))
-    p[:, 2] = 2.0
-    with pytest.raises(ValueError):
-        frenet_geometry(ts, p)       # not unit vectors
+    d = np.ones((30, 3))
+    s = np.zeros((30, 3))
+    s[:, 2] = 2.0
+    frenet_geometry(ts, s, d, d, d)        # any nonzero length defines p
+    s[7] = 0.0
+    with pytest.raises(ValueError, match="direction undefined"):
+        frenet_geometry(ts, s, d, d, d)    # a vanishing vector has no direction
+    s[7] = np.nan
+    with pytest.raises(ValueError, match="direction undefined"):
+        frenet_geometry(ts, s, d, d, d)
+    s[7, 2] = 2.0
+    with pytest.raises(ValueError, match="shape"):
+        frenet_geometry(ts, s, d, d, d[:-1])
     bad_t = np.concatenate([np.linspace(0, 1, 20), np.linspace(1.2, 2, 10)])
-    good_p = np.zeros((30, 3))
-    good_p[:, 2] = 1.0
-    with pytest.raises(ValueError):
-        frenet_geometry(bad_t, good_p)  # non-uniform grid
+    s[:] = [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="uniform"):
+        frenet_geometry(bad_t, s, d, d, d)  # non-uniform grid
 
 
-def test_resonance_geometry_matches_finite_differences():
+def test_resonance_geometry_matches_frenet_geometry():
     for h, w, n in [(0.5, 0.2, 4001), (0.5, 5.0, 8001)]:
         ts, R = resonance_trajectory(h, w, n)
-        series = frenet_geometry(ts, R)
+        series = frenet_geometry(ts, *with_jets(ts, R, h, w, w))
         kr, tr, vr, sr = resonance_geometry(ts, h, w)
         T = ts[-1]
         ok = series.valid & (ts > 0.02 * T) & (ts < 0.98 * T)
@@ -224,7 +246,7 @@ def test_adjoining_sphere_identity_on_closed_forms():
 
 def test_adjoining_sphere_identity_on_trajectory():
     ts, R = resonance_trajectory(0.5, 0.2, 4001)
-    series = frenet_geometry(ts, R)
+    series = frenet_geometry(ts, *with_jets(ts, R, 0.5, 0.2, 0.2))
     res = adjoining_sphere_residual(series.curvature, curvature_rate(series),
                                     series.speed, series.torsion)
     frac = np.mean(np.abs(res[np.isfinite(res)]) < 1e-4)
@@ -236,7 +258,7 @@ def test_adjoining_sphere_residual_refines_at_fd_order():
     meds = []
     for n in (201, 401):
         ts, R = resonance_trajectory(0.5, 0.2, n)
-        series = frenet_geometry(ts, R)
+        series = frenet_geometry(ts, *with_jets(ts, R, 0.5, 0.2, 0.2))
         res = adjoining_sphere_residual(series.curvature, curvature_rate(series),
                                         series.speed, series.torsion)
         meds.append(np.nanmedian(np.abs(res)))
@@ -244,19 +266,17 @@ def test_adjoining_sphere_residual_refines_at_fd_order():
 
 
 def test_frenet_rotation_invariance():
-    # a grid coarse enough that third-derivative roundoff (the only term a
-    # rigid rotation can perturb) stays below the 1e-9 budget
     rng = np.random.default_rng(5)
     A = rng.normal(size=(3, 3))
     Q, _ = np.linalg.qr(A)
     if np.linalg.det(Q) < 0:
         Q[:, 0] *= -1.0
     ts, R = resonance_trajectory(0.5, 0.2, 301)
-    a = frenet_geometry(ts, R)
-    b = frenet_geometry(ts, R @ Q.T)
-    inner = slice(3, -3)   # one-sided edge stencils have a larger noise constant
-    assert np.nanmax(np.abs(a.curvature - b.curvature)[inner]) < 1e-9
-    assert np.nanmax(np.abs(a.torsion - b.torsion)[inner]) < 1e-9
+    jets = with_jets(ts, R, 0.5, 0.2, 0.2)
+    a = frenet_geometry(ts, *jets)
+    b = frenet_geometry(ts, *(d @ Q.T for d in jets))
+    assert np.nanmax(np.abs(a.curvature - b.curvature)) < 1e-9
+    assert np.nanmax(np.abs(a.torsion - b.torsion)) < 1e-9
     assert np.max(np.abs(a.speed - b.speed)) < 1e-12
     assert abs(a.arc_length[-1] - b.arc_length[-1]) < 1e-9
 
@@ -265,7 +285,7 @@ def test_frenet_rotation_invariance():
 
 def test_cusps_detected_on_cusped_trajectory():
     ts, p = rabi_unit_trajectory(ACOS13, math.pi / 4, 0.6, 0.5, 3.0, 6, 24001)
-    series = frenet_geometry(ts, p)
+    series = frenet_geometry(ts, *with_jets(ts, p, 0.6, 0.5, 3.0))
     cusps = detect_cusps(series)
     assert len(cusps) >= 6          # at least one per period
     assert min(c.speed for c in cusps) < 0.02
@@ -273,7 +293,7 @@ def test_cusps_detected_on_cusped_trajectory():
 
 def test_no_cusps_on_smooth_resonance():
     ts, R = resonance_trajectory(0.5, 0.2, 4001)
-    series = frenet_geometry(ts, R)
+    series = frenet_geometry(ts, *with_jets(ts, R, 0.5, 0.2, 0.2))
     assert detect_cusps(series) == []
 
 
@@ -403,7 +423,7 @@ def test_energy_peaks_at_cusps():
     fp = FieldParams.circular(h, H, w)
     ts, p = rabi_unit_trajectory(ACOS13, math.pi / 4, h, H, w, 6, 24001)
     R = analytic_rabi_general(ts, InitialAngles(ACOS13, math.pi / 4), h, H, w, 0.0)
-    series = frenet_geometry(ts, p)
+    series = frenet_geometry(ts, *with_jets(ts, p, h, H, w))
     energy = np.array([qubit_energy(R[i], field_at(ts[i], fp)) for i in range(len(ts))])
     dt = ts[1] - ts[0]
     for c in detect_cusps(series):
@@ -418,24 +438,30 @@ def test_torsion_sign_change_counting():
     assert count_torsion_sign_changes(np.array([1.0, 0.5, -0.2, 0.3, -0.1])) == 3
     # zeros inside the dead band do not flip the hysteresis state
     assert count_torsion_sign_changes(np.array([1.0, 1e-15, 1.0, -1.0])) == 1
-    # an all-tiny sequence falls back to raw crossing counting
+    # the band scales with the sequence: an all-tiny one still flips
     tiny = np.array([1e-20, -1e-22, 1e-26, -1e-21])
     assert count_torsion_sign_changes(tiny) == 3
     assert count_torsion_sign_changes(np.array([])) == 0
+    assert count_torsion_sign_changes(np.zeros(4)) == 0
+    # a sequence ending on an exact zero that reads -2.9e-11 (fig8-fig10 at
+    # t = 16 pi, max |torsion| 4.6) does not flip there
+    assert count_torsion_sign_changes(np.array([4.6, 1.0, -1.0, 0.5, 1e-3, -2.9e-11])) == 2
 
 
 def test_sign_ordering_near_torsion_flips():
-    # where torsion flips + to -, speed is locally decreasing and curvature
-    # locally increasing (the published qualitative chain)
+    # the published qualitative chain: while the torsion is positive the speed
+    # falls and the curvature rises, and past a + to - flip both turn.  The
+    # flip here sits on a sample (t = T/2, where v has its minimum and the
+    # curvature its maximum), so each side is compared with the flip itself.
     ts, p = rabi_unit_trajectory(ACOS13, 0.0, -0.6, 0.45, 3.0, 1, 4001)
-    series = frenet_geometry(ts, p)
+    series = frenet_geometry(ts, *with_jets(ts, p, -0.6, 0.45, 3.0))
     tor, v, k = series.torsion, series.speed, series.curvature
     found = 0
     w = 40
     for i in range(w, len(ts) - w - 1):
         a, b = tor[i], tor[i + 1]
         if np.isfinite(a) and np.isfinite(b) and a > 0 > b and max(a, -b) > 1e-4:
-            assert v[i + w] < v[i - w]
-            assert k[i + w] > k[i - w]
+            assert v[i - w] > v[i] and k[i - w] < k[i]
+            assert v[i + 1 + w] > v[i + 1] and k[i + 1 + w] < k[i + 1]
             found += 1
     assert found >= 1

@@ -94,6 +94,20 @@ def test_non_finite_step_rejected():
         integrate(rhs, np.array([0.0, 0.0, 1.0]), (0.0, 5.0), n_out=11)
 
 
+@pytest.mark.parametrize("t1", [2.0, -2.0])
+def test_rhs_never_evaluated_past_the_span(t1):
+    # a slow solution makes the startup estimate ask for a step of about 1e7;
+    # its trial Euler step must stay inside the span
+    seen = []
+
+    def rhs(t, y):
+        seen.append(t)
+        return 1e-9 * y
+
+    integrate(rhs, np.array([1.0]), (0.0, t1), n_out=3)
+    assert min(seen) >= min(0.0, t1) and max(seen) <= max(0.0, t1)
+
+
 def test_empty_span_rejected():
     with pytest.raises(ValueError):
         integrate(decay_rhs, np.array([1.0]), (1.0, 1.0), n_out=11)

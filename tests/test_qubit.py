@@ -1,6 +1,7 @@
 """Qubit model tests: field shapes, equation of motion, exact solutions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import ellipj
 
 from spinhodo.integrator import IntegratorConfig, integrate, resample_uniform
+from spinhodo.presets import PRESETS
 from spinhodo.qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                             analytic_elliptic_resonance, analytic_rabi_general,
                             bloch_length, bloch_rhs,
@@ -64,6 +66,20 @@ def test_field_array_matches_scalar_calls(fp):
     assert field_at(ts, fp).shape == (len(ts), 3)
     assert np.allclose(field_at(ts, fp), stacked, rtol=1e-15, atol=0.0)
     assert field_at(0.4, fp).shape == (3,)
+
+
+def test_field_at_memory_is_bounded():
+    # one call over fig3's 24,001 samples: the (n, 3) result and sn, cn, dn,
+    # about 1.2 MB, with no per-sample Python objects
+    preset = PRESETS["fig3"]
+    ts = np.linspace(0.0, preset.duration, preset.n_output)
+    tracemalloc.start()
+    try:
+        field_at(ts, preset.fieldp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("k", [0.3, 0.6, 0.97])
