@@ -18,7 +18,7 @@ from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     bloch_generators, bloch_length, bloch_rhs,
                     closed_trajectory_amplitude_qubit, eom_jets, field_at,
                     make_bloch_rhs, qubit_energy, spin_flip_probability)
-from .qutrit import (AnisotropyParams, Populations, analytic_qutrit_resonance,
+from .qutrit import (AnisotropyParams, analytic_qutrit_resonance,
                      bloch8_from_density, closed_trajectory_amplitude_qutrit,
                      evolve_density, populations, qutrit_generators,
                      qutrit_hamiltonian, qutrit_polarization, qutrit_rhs,
@@ -33,7 +33,7 @@ __all__ = [
     "analytic_rabi_general",
     "analytic_elliptic_resonance", "spin_flip_probability", "bloch_length",
     "qubit_energy", "closed_trajectory_amplitude_qubit",
-    "AnisotropyParams", "Populations", "qutrit_hamiltonian", "qutrit_rhs",
+    "AnisotropyParams", "qutrit_hamiltonian", "qutrit_rhs",
     "qutrit_generators",
     "bloch8_from_density", "populations", "qutrit_polarization",
     "analytic_qutrit_resonance", "closed_trajectory_amplitude_qutrit",

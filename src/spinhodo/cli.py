@@ -26,7 +26,7 @@ from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     analytic_elliptic_resonance, analytic_rabi_general,
                     bloch_generators, closed_trajectory_amplitude_qubit,
                     eom_jets, field_at, make_bloch_rhs, qubit_energy)
-from .qutrit import (AnisotropyParams, analytic_qutrit_resonance,
+from .qutrit import (AnisotropyParams, _populations, analytic_qutrit_resonance,
                      bloch8_from_density, closed_trajectory_amplitude_qutrit,
                      initial_density_north, make_qutrit_rhs_real,
                      polarization_series, qutrit_energy, qutrit_generators)
@@ -91,11 +91,7 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
     if np.any(~np.isfinite(p)):
         raise RuntimeError("polarization direction undefined on the grid "
                            "(spin part of q vanished)")
-    r6q3 = math.sqrt(6.0) * qs[:, 2]
-    r2q6 = math.sqrt(2.0) * qs[:, 5]
-    pops = {"p_plus": (2.0 + r6q3 + r2q6) / 6.0,
-            "p_zero": (1.0 - r2q6) / 3.0,
-            "p_minus": (2.0 - r6q3 + r2q6) / 6.0}
+    pops = dict(zip(("p_plus", "p_zero", "p_minus"), _populations(qs[:, 2], qs[:, 5])))
     fields = field_at(traj.times, fp)
     return {
         "traj": traj, "p": p, "fields": fields,
@@ -165,15 +161,36 @@ def _analyze(sim, expected=None):
 # ----------------------------------------------------------------- artifacts
 
 _CSV_BLOCK_ROWS = 1024   # rows formatted per % operation; bounds the temporaries
+_FLAG_TEXT = ("0,0", "0,1", "1,0", "1,1")   # the valid,pole cells, indexed by 2 valid + pole
 
 
-def _write_csv(path, header, columns):
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for r0 in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([col[r0:r0 + _CSV_BLOCK_ROWS] for col in columns])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+def _format_rows(columns, r0, r1):
+    """Rows r0..r1 of `columns` as "%.17g" cells joined by commas, one
+    string per row."""
+    row = ",".join(["%.17g"] * len(columns))
+    block = np.column_stack([col[r0:r1] for col in columns])
+    return ("\n".join([row] * len(block)) % tuple(block.ravel().tolist())).split("\n")
+
+
+def _write_csvs(out, t, lead, shared, tail, valid, pole):
+    """Write geometry.csv (t, shared, valid, pole) and trajectory.csv
+    (t, lead, shared, tail) together, block by block.
+
+    `lead`, `shared` and `tail` map column names to columns.  Each block
+    formats t and the shared columns once for both files; the 0/1 flags are
+    looked up, not formatted.
+    """
+    flags = 2 * np.asarray(valid, dtype=int) + np.asarray(pole, dtype=int)
+    with open(out / "geometry.csv", "w") as geo, open(out / "trajectory.csv", "w") as traj:
+        geo.write(",".join(["t", *shared, "valid", "pole"]) + "\n")
+        traj.write(",".join(["t", *lead, *shared, *tail]) + "\n")
+        groups = [[t], list(lead.values()), list(shared.values()), list(tail.values())]
+        for r0 in range(0, len(t), _CSV_BLOCK_ROWS):
+            r1 = r0 + _CSV_BLOCK_ROWS
+            ts, ls, ss, es = (_format_rows(cols, r0, r1) for cols in groups)
+            fs = map(_FLAG_TEXT.__getitem__, flags[r0:r1].tolist())
+            geo.write("".join([f"{a},{b},{c}\n" for a, b, c in zip(ts, ss, fs)]))
+            traj.write("".join([f"{a},{b},{c},{d}\n" for a, b, c, d in zip(ts, ls, ss, es)]))
 
 
 def write_artifacts(out_dir, sim, series, report):
@@ -184,15 +201,12 @@ def write_artifacts(out_dir, sim, series, report):
     shared = {name: getattr(series, name) for name in
               ("theta", "phi", "theta_dot", "phi_dot", "curvature", "torsion",
                "speed", "arc_length")}
-    geo = {"t": series.times, **shared,
-           "valid": series.valid.astype(float), "pole": series.pole.astype(float)}
-    _write_csv(out / "geometry.csv", list(geo), list(geo.values()))
-
     p, fld = sim["p"], sim["fields"]
-    cols = {"t": sim["traj"].times, **sim["state_columns"],
-            "p1": p[:, 0], "p2": p[:, 1], "p3": p[:, 2], **shared,
-            **sim["extra_columns"], "h1": fld[:, 0], "h2": fld[:, 1], "h3": fld[:, 2]}
-    _write_csv(out / "trajectory.csv", list(cols), list(cols.values()))
+    _write_csvs(out, sim["traj"].times,
+                {**sim["state_columns"], "p1": p[:, 0], "p2": p[:, 1], "p3": p[:, 2]},
+                shared,
+                {**sim["extra_columns"], "h1": fld[:, 0], "h2": fld[:, 1], "h3": fld[:, 2]},
+                series.valid, series.pole)
 
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2)

@@ -182,18 +182,18 @@ class GeometrySeries:
 
 def _unwrap_skipping(phi_raw, defined):
     """Continuity unwrap of raw azimuths, carrying the branch across pole
-    gaps; undefined samples stay NaN."""
+    gaps; undefined samples stay NaN.
+
+    Each step between consecutive defined samples is wrapped into (-pi, pi]
+    and the steps are summed onto the first defined azimuth.
+    """
     phi = np.full_like(phi_raw, np.nan)
-    prev = None
-    for i in np.flatnonzero(defined):
-        if prev is None:
-            phi[i] = phi_raw[i]
-        else:
-            d = (phi_raw[i] - phi[prev] + math.pi) % (2.0 * math.pi) - math.pi
-            if d == -math.pi:
-                d = math.pi
-            phi[i] = phi[prev] + d
-        prev = i
+    idx = np.flatnonzero(defined)
+    if idx.size:
+        raw = phi_raw[idx]
+        steps = (np.diff(raw) + math.pi) % (2.0 * math.pi) - math.pi
+        steps[steps == -math.pi] = math.pi
+        phi[idx] = np.cumsum(np.concatenate((raw[:1], steps)))
     return phi
 
 
@@ -225,7 +225,7 @@ def frenet_geometry(times, s, ds, d2s, d3s):
     p, d1, d2, d3 = _direction_jets(s, ds, d2s, d3s, norms)
 
     speed = np.linalg.norm(d1, axis=1)
-    cross = np.cross(d1, d2)
+    cross = _cross(d1, d2)
     ncross = np.linalg.norm(cross, axis=1)
     valid = speed > _SPEED_FLOOR
 
@@ -287,6 +287,18 @@ def _direction_jets(s, ds, d2s, d3s, norms):
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
+
+
+def _cross(a, b):
+    """Row-wise a x b of two (n, 3) arrays: np.cross's arithmetic, without
+    the copies of both inputs that np.cross makes."""
+    out = np.empty_like(a)
+    tmp = np.empty(len(a))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[:, j], b[:, k], out=out[:, i])
+        np.multiply(a[:, k], b[:, j], out=tmp)
+        out[:, i] -= tmp
+    return out
 
 
 def resonance_geometry(t, h, omega):

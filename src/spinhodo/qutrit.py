@@ -25,7 +25,7 @@ from .integrator import IntegratorConfig, resample_uniform
 from .qubit import field_at
 
 __all__ = [
-    "S1", "S2", "S3", "LAMBDA8", "AnisotropyParams", "Populations",
+    "S1", "S2", "S3", "LAMBDA8", "AnisotropyParams",
     "qutrit_hamiltonian", "qutrit_rhs", "make_qutrit_rhs_real", "qutrit_generators",
     "qutrit_energy", "bloch8_from_density", "populations", "qutrit_polarization",
     "polarization_series", "analytic_qutrit_resonance",
@@ -81,16 +81,6 @@ class AnisotropyParams:
     def __post_init__(self):
         if not (math.isfinite(self.Q) and math.isfinite(self.d)):
             raise ValueError("anisotropy constants must be finite")
-
-
-@dataclass(frozen=True)
-class Populations:
-    p_plus: float
-    p_zero: float
-    p_minus: float
-
-    def as_array(self):
-        return np.array([self.p_plus, self.p_zero, self.p_minus])
 
 
 def initial_density_north():
@@ -160,19 +150,28 @@ def bloch8_from_density(rho):
     return q.real
 
 
+def _populations(q3, q6):
+    """Level populations (m = +1, 0, -1) stacked along a new first axis, with
+    no range check: the CLI records the drift of integrated states, which at
+    a loose SPINHODO_TOL leaves [0, 1] by more than the check allows."""
+    r6q3 = math.sqrt(6.0) * np.asarray(q3, dtype=float)
+    r2q6 = _SQRT2 * np.asarray(q6, dtype=float)
+    return np.stack([(2.0 + r6q3 + r2q6) / 6.0,
+                     (1.0 - r2q6) / 3.0,
+                     (2.0 - r6q3 + r2q6) / 6.0])
+
+
 def populations(q3, q6):
     """Level populations (m = +1, 0, -1) from the two diagonal components.
 
-    The three expressions sum to one identically.
+    Takes scalars or arrays of one shape and returns the populations stacked
+    along a new first axis, shape (3,) + shape; they sum to one identically.
+    Raises ValueError when one lies outside [0, 1] by more than 1e-9.
     """
-    r6q3 = math.sqrt(6.0) * q3
-    r2q6 = _SQRT2 * q6
-    p = Populations((2.0 + r6q3 + r2q6) / 6.0,
-                    (1.0 - r2q6) / 3.0,
-                    (2.0 - r6q3 + r2q6) / 6.0)
-    for v in (p.p_plus, p.p_zero, p.p_minus):
-        if v < -1e-9 or v > 1.0 + 1e-9:
-            raise ValueError(f"population {v} outside [0, 1]: inconsistent q input")
+    p = _populations(q3, q6)
+    outside = (p < -1e-9) | (p > 1.0 + 1e-9)
+    if outside.any():
+        raise ValueError(f"population {p[outside][0]} outside [0, 1]: inconsistent q input")
     return p
 
 

@@ -323,7 +323,7 @@ def test_criterion_8_qutrit_oracle():
     ref = analytic_qutrit_resonance(times, h, Q, 0.0)
     dev = float(np.max(np.abs(qs - ref)))
     i_half = len(times) // 2
-    p_half = populations(qs[i_half, 2], qs[i_half, 5]).p_minus
+    p_half = populations(qs[i_half, 2], qs[i_half, 5])[2]
     ret = float(np.max(np.abs(qs[-1] - qs[0])))
     _line("criterion 8 (qutrit resonance oracle)",
           dev < 1e-8 and abs(p_half - 1.0) < 1e-8 and ret < 1e-6,
@@ -387,8 +387,7 @@ def test_criterion_11_invariant_suite():
 
     # population normalization is an algebraic identity
     qs = np.array([bloch8_from_density(r) for r in rhos])
-    pop_dev = float(np.max(np.abs(
-        np.array([sum(populations(q[2], q[5]).as_array()) for q in qs]) - 1.0)))
+    pop_dev = float(np.max(np.abs(populations(qs[:, 2], qs[:, 5]).sum(axis=0) - 1.0)))
 
     # rigid rotations leave the Frenet quantities alone
     rng = np.random.default_rng(5)

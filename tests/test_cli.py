@@ -86,36 +86,56 @@ def _write_csv_per_cell(path, header, columns):
             fh.write(",".join(fmt(col[i]) for col in columns) + "\n")
 
 
+def _write_csvs_per_cell(out, t, lead, shared, tail, valid, pole):
+    """Reference for cli._write_csvs: each file written on its own, one cell
+    at a time, the flags as floats."""
+    _write_csv_per_cell(out / "geometry.ref", ["t", *shared, "valid", "pole"],
+                        [t, *shared.values(), np.asarray(valid, dtype=float),
+                         np.asarray(pole, dtype=float)])
+    _write_csv_per_cell(out / "trajectory.ref", ["t", *lead, *shared, *tail],
+                        [t, *lead.values(), *shared.values(), *tail.values()])
+
+
+def _assert_csvs_match_reference(out):
+    for name in ("geometry", "trajectory"):
+        assert (out / f"{name}.csv").read_bytes() == (out / f"{name}.ref").read_bytes()
+
+
 @pytest.mark.parametrize("preset", ["fig5", "fig8"])   # qubit, qutrit
 def test_csv_writer_matches_per_cell_reference(preset, tmp_path, monkeypatch):
-    written = []
-    write_csv = cli._write_csv
+    calls = []
+    write_csvs = cli._write_csvs
 
-    def write_both(path, header, columns):
-        write_csv(path, header, columns)
-        ref = path.with_suffix(".ref")
-        _write_csv_per_cell(ref, header, columns)
-        written.append((path, ref))
+    def write_both(*args):
+        write_csvs(*args)
+        _write_csvs_per_cell(*args)
+        calls.append(args[0])
 
-    monkeypatch.setattr(cli, "_write_csv", write_both)
+    monkeypatch.setattr(cli, "_write_csvs", write_both)
     run_preset(preset, out_dir=tmp_path)
-    assert [p.name for p, _ in written] == ["geometry.csv", "trajectory.csv"]
-    for path, ref in written:
-        assert path.read_bytes() == ref.read_bytes()
+    assert calls == [tmp_path]
+    _assert_csvs_match_reference(tmp_path)
 
 
 def test_csv_writer_special_values(tmp_path):
-    # non-finite values, signed zeros and subnormals, over several row blocks
+    # non-finite values, signed zeros and subnormals in every column group,
+    # and 0/1 flags in all four combinations, over several row blocks
     rng = np.random.default_rng(3)
     n = 2 * cli._CSV_BLOCK_ROWS + 17
     special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
                         -2.2250738585072014e-308, 1.0, 1 / 3, 1e300, 0.1])
-    columns = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),
-               special[rng.integers(0, len(special), size=n)],
-               (rng.random(n) < 0.5).astype(float)]
-    cli._write_csv(tmp_path / "block.csv", ["a", "b", "c"], columns)
-    _write_csv_per_cell(tmp_path / "cell.csv", ["a", "b", "c"], columns)
-    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+    def wide():
+        return rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+
+    def spec():
+        return special[rng.integers(0, len(special), size=n)]
+
+    args = (tmp_path, spec(), {"a": wide(), "b": spec()}, {"c": spec(), "d": wide()},
+            {"e": spec()}, rng.random(n) < 0.5, rng.random(n) < 0.5)
+    cli._write_csvs(*args)
+    _write_csvs_per_cell(*args)
+    _assert_csvs_match_reference(tmp_path)
 
 
 def test_caption_checks_recorded(fig5_run):
@@ -218,6 +238,14 @@ def test_env_tolerance_override(monkeypatch):
     assert cfg.abs_tol == pytest.approx(1e-8)
     monkeypatch.delenv("SPINHODO_TOL")
     assert default_config().rel_tol == IntegratorConfig().rel_tol
+
+
+def test_loose_tolerance_records_population_drift(monkeypatch):
+    # the populations of a loose solve leave [0, 1] by its error; the report
+    # records that drift instead of refusing the run
+    monkeypatch.setenv("SPINHODO_TOL", "1e-6")
+    pops = run_preset("fig8")["observed"]["populations"]
+    assert -1e-6 < pops["p_minus"][0] < -1e-9
 
 
 def test_main_preset_roundtrip(tmp_path, capsys):

@@ -11,11 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinhodo.geometry import (LoopEvent, adjoining_sphere_residual,
+from spinhodo import cli
+from spinhodo.geometry import (_POLE_RHO, LoopEvent, _unwrap_skipping,
+                               adjoining_sphere_residual,
                                angular_velocities, count_torsion_sign_changes,
                                curvature_rate, detect_cusps, detect_loops,
                                fd_derivative, fornberg_weights, frenet_geometry,
                                resonance_geometry, spherical_angles)
+from spinhodo.presets import PRESETS
 from spinhodo.qubit import (DampingParams, FieldParams, InitialAngles,
                             analytic_rabi_general, bloch_generators, eom_jets,
                             field_at)
@@ -98,6 +101,72 @@ def test_phi_unwrap_is_continuous():
     series = frenet_geometry(ts, *with_jets(ts, p, -0.6, 0.45, 3.0))
     dphi = np.diff(series.phi[~series.pole])
     assert np.nanmax(np.abs(dphi)) < 0.5   # no 2 pi jumps survive unwrapping
+
+
+def _unwrap_skipping_loop(phi_raw, defined):
+    """Reference for geometry._unwrap_skipping: one defined sample at a
+    time, each step taken from the unwrapped previous value."""
+    phi = np.full_like(phi_raw, np.nan)
+    prev = None
+    for i in np.flatnonzero(defined):
+        if prev is None:
+            phi[i] = phi_raw[i]
+        else:
+            d = (phi_raw[i] - phi[prev] + math.pi) % (2.0 * math.pi) - math.pi
+            if d == -math.pi:
+                d = math.pi
+            phi[i] = phi[prev] + d
+        prev = i
+    return phi
+
+
+def _assert_unwrap_matches_loop(phi_raw, defined):
+    phi, ref = _unwrap_skipping(phi_raw, defined), _unwrap_skipping_loop(phi_raw, defined)
+    assert np.array_equal(np.isnan(phi), ~defined)
+    assert np.array_equal(np.isnan(ref), ~defined)
+    assert np.max(np.abs(phi[defined] - ref[defined]), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS, key=lambda s: int(s[3:])))
+def test_unwrap_matches_loop_on_presets(name):
+    pr = PRESETS[name]
+    cfg = cli.default_config()
+    if pr.system == "qubit":
+        sim = cli._simulate_qubit(pr.fieldp, pr.damping, pr.init, pr.duration, cfg,
+                                  pr.n_output)
+    else:
+        sim = cli._simulate_qutrit(pr.fieldp, pr.aniso, pr.duration, cfg, pr.n_output)
+    p = sim["p"]
+    defined = p[:, 0] ** 2 + p[:, 1] ** 2 > _POLE_RHO ** 2   # as frenet_geometry flags poles
+    _assert_unwrap_matches_loop(np.where(defined, np.arctan2(p[:, 1], p[:, 0]), np.nan),
+                                defined)
+
+
+def test_unwrap_matches_loop_across_pole_gaps():
+    rng = np.random.default_rng(17)
+    n = 5000
+    phi_raw = np.angle(np.exp(1j * np.cumsum(rng.normal(scale=1.5, size=n))))
+    defined = np.ones(n, dtype=bool)
+    for start in rng.integers(0, n - 40, size=25):   # gaps of 1 to 39 samples
+        defined[start:start + rng.integers(1, 40)] = False
+    defined[:3] = False                               # leading and trailing gaps
+    defined[-2:] = False
+    _assert_unwrap_matches_loop(np.where(defined, phi_raw, np.nan), defined)
+    none = np.zeros(n, dtype=bool)
+    assert np.all(np.isnan(_unwrap_skipping(np.full(n, np.nan), none)))
+    one = none.copy()
+    one[7] = True
+    assert _unwrap_skipping(np.where(one, 0.25, np.nan), one)[7] == 0.25
+
+
+def test_unwrap_tie_steps_forward():
+    # steps of exactly -pi (and +pi) wrap to +pi, so the azimuth climbs
+    phi_raw = np.array([0.0, math.pi, 0.0, -math.pi, 0.0, 0.5, 0.5 - math.pi])
+    defined = np.ones(len(phi_raw), dtype=bool)
+    _assert_unwrap_matches_loop(phi_raw, defined)
+    phi = _unwrap_skipping(phi_raw, defined)
+    assert np.all(np.diff(phi) >= 0.0)
+    assert phi[4] == 4.0 * math.pi
 
 
 def test_angular_velocities_match_published_closed_forms():

@@ -1,12 +1,16 @@
-"""Integrator tests: linear oracle, tolerance scaling, dense vs exact output."""
+"""Integrator tests: linear oracle, tolerance scaling, dense vs exact output,
+and the batched dense fill against a per-step reference."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spinhodo.integrator import (IntegrationError, IntegratorConfig, integrate,
-                                 resample_uniform)
+from spinhodo.integrator import (_FILL_BLOCK_ROWS, _FILL_STEPS, _MAX_FACTOR,
+                                 _MIN_FACTOR, _PI_ALPHA, _PI_BETA, _SAFETY,
+                                 IntegrationError, IntegratorConfig,
+                                 _dense_coeffs, _dense_eval, _error_norm,
+                                 _initial_step, _step, integrate, resample_uniform)
 
 
 def decay_rhs(t, y):
@@ -123,3 +127,89 @@ def test_unit_norm_preserved_through_resampling():
     traj = resample_uniform(rhs, 2001, y0=y0, t_span=(0.0, 30.0))
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+
+def precession_rhs(t, y):
+    h = np.array([0.4 * math.cos(3.0 * t), 0.4 * math.sin(3.0 * t), 1.1])
+    return np.cross(h, y)
+
+
+def kicked_decay_rhs(t, y):
+    # the jump at t = 3.3 makes the controller reject steps
+    return -0.7 * y + (5.0 if t > 3.3 else 0.0)
+
+
+def _integrate_per_step(rhs, y0, t_span, n_out, cfg=None):
+    """Reference for integrate: each accepted step evaluates its continuous
+    extension on the output times it reaches, inside the stepping loop.
+
+    Returns the states, the statistics of the solve and the number of rows
+    left for the final float-slack guard.
+    """
+    cfg = cfg or IntegratorConfig()
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    direction = 1.0 if t1 > t0 else -1.0
+    span = abs(t1 - t0)
+    out_times = np.linspace(t0, t1, n_out)
+    ahead = out_times * direction
+    y = np.array(y0, dtype=float)
+    t = t0
+    f0 = np.asarray(rhs(t0, y), dtype=float)
+    out = np.empty((n_out, y.size))
+    out[0] = y
+    next_out = 1
+    h = min(_initial_step(rhs, t0, y, f0, direction, span, cfg), span)
+    max_err, err_prev, n_steps, n_rejected = 0.0, 1.0, 0, 0
+    while (t1 - t) * direction > 0.0:
+        if abs(t1 - t) <= 1e-12 * max(1.0, abs(t1)):
+            break
+        h_try = min(h, abs(t1 - t))
+        y_new, err, k = _step(rhs, t, y, f0, h_try, direction)
+        errn = _error_norm(err, y, y_new, cfg)
+        if not errn <= 1.0:
+            n_rejected += 1
+            h = h_try * max(_MIN_FACTOR, _SAFETY * errn ** (-_PI_ALPHA))
+            continue
+        t_new = t + h_try * direction
+        n_steps += 1
+        max_err = max(max_err, errn)
+        end = int(np.searchsorted(ahead, t_new * direction + 1e-12 * max(1.0, abs(t_new)),
+                                  side="right"))
+        if end > next_out:
+            theta = (out_times[next_out:end] - t) / (h_try * direction)
+            out[next_out:end] = _dense_eval(_dense_coeffs(y, y_new, k, h_try * direction),
+                                            np.clip(theta, 0.0, 1.0)[:, None])
+            next_out = end
+        errn = max(errn, 1e-10)
+        factor = _SAFETY * errn ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+        h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        err_prev = errn
+        t, y, f0 = t_new, y_new, k[6]
+    guarded = n_out - next_out
+    out[next_out:] = y
+    return out, (max_err, n_steps, n_rejected), guarded
+
+
+@pytest.mark.parametrize("case, rhs, y0, t_span, n_out", [
+    ("many outputs per step", decay_rhs, [1.0], (0.0, 10.0), 20001),
+    ("fewer outputs than steps", precession_rhs, [0.0, 0.6, 0.8], (0.0, 30.0), 11),
+    ("backward span", precession_rhs, [0.0, 0.6, 0.8], (0.0, -30.0), 2001),
+    ("rejected steps", kicked_decay_rhs, [1.0], (0.0, 10.0), 3001),
+    ("final samples from the guard", decay_rhs, [1.0], (1e6, 1e6 + 4e-7), 5),
+])
+def test_batched_dense_fill_matches_per_step_reference(case, rhs, y0, t_span, n_out):
+    traj = integrate(rhs, np.array(y0), t_span, n_out=n_out)
+    ref, stats, guarded = _integrate_per_step(rhs, y0, t_span, n_out)
+    assert np.array_equal(traj.states, ref)
+    assert (traj.max_error_estimate, traj.n_steps, traj.n_rejected) == stats
+    # each case exercises what it is named for
+    if case == "many outputs per step":
+        # the rows of _FILL_STEPS steps span several blocks of _FILL_BLOCK_ROWS
+        assert n_out / traj.n_steps * _FILL_STEPS > 2 * _FILL_BLOCK_ROWS
+    elif case == "fewer outputs than steps":
+        assert traj.n_steps > 10 * n_out
+    elif case == "rejected steps":
+        assert traj.n_rejected > 0
+    elif case == "final samples from the guard":
+        # the span is inside the float slack of t = 1e6, so no step is taken
+        assert traj.n_steps == 0 and guarded == n_out - 1

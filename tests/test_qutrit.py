@@ -183,17 +183,17 @@ def test_populations_recover_diagonal():
         rho = np.diag(diag).astype(complex)
         q = bloch8_from_density(rho)
         p = populations(q[2], q[5])
-        assert np.allclose(p.as_array(), diag, atol=1e-14)
+        assert np.allclose(p, diag, atol=1e-14)
 
 
 def test_populations_examples():
     p = populations(math.sqrt(1.5), 1.0 / math.sqrt(2.0))
-    assert np.allclose(p.as_array(), [1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(p, [1.0, 0.0, 0.0], atol=1e-15)
     p = populations(-math.sqrt(1.5), 1.0 / math.sqrt(2.0))
-    assert np.allclose(p.as_array(), [0.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(p, [0.0, 0.0, 1.0], atol=1e-15)
     p = populations(0.0, 0.0)
-    assert np.allclose(p.as_array(), [1 / 3, 1 / 3, 1 / 3])
-    assert p.p_plus + p.p_zero + p.p_minus == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3])
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_populations_reject_inconsistent_input():
@@ -239,7 +239,7 @@ def test_population_flip_at_half_period():
     t_half = 5 * 2 * math.pi / FIG8_F
     q = analytic_qutrit_resonance(t_half, FIG8_H, FIG8_Q, 0.0)
     p = populations(q[2], q[5])
-    assert p.p_minus == pytest.approx(1.0, abs=1e-12)
+    assert p[2] == pytest.approx(1.0, abs=1e-12)
     assert qutrit_polarization(q)[2] == pytest.approx(-1.0, abs=1e-12)
 
 
