@@ -33,6 +33,8 @@ from .qutrit import (AnisotropyParams, _populations, analytic_qutrit_resonance,
 
 __all__ = ["run_preset", "simulate", "closure_search", "main", "UnsupportedAnalytic"]
 
+_POINTS_PER_PERIOD = 2000   # output samples per natural period of a free run
+
 
 class UnsupportedAnalytic(ValueError):
     """Requested --analytic outside the validity domain of the closed forms."""
@@ -62,7 +64,7 @@ def _range(x):
 
 
 def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
-    traj = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, duration), cfg, n_out)
+    traj = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, duration), cfg, n_out=n_out)
     R = traj.states
     lengths = np.linalg.norm(R, axis=1)
     if np.min(lengths) < 1e-12:
@@ -85,7 +87,8 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
                          "h = 0 the spin part of q stays on the z axis, so there is "
                          "no hodograph")
     traj = integrate(make_qutrit_rhs_real(fp, ap),
-                     bloch8_from_density(initial_density_north()), (0.0, duration), cfg, n_out)
+                     bloch8_from_density(initial_density_north()), (0.0, duration), cfg,
+                     n_out=n_out)
     qs = traj.states
     p = polarization_series(qs)
     if np.any(~np.isfinite(p)):
@@ -237,8 +240,9 @@ plot 'geometry.csv' using 't':'theta_dot' with lines title 'nutation rate', \\
 
 # ----------------------------------------------------------------- commands
 
-def _run(system, fp, dp, init, ap, duration, cfg, n_out, preset=None, expected=None):
+def _run(system, fp, dp, init, ap, duration, n_out, preset=None, expected=None):
     """Simulate, analyse and build the report; returns (sim, series, report)."""
+    cfg = default_config()
     if system == "qubit":
         sim = _simulate_qubit(fp, dp, init, duration, cfg, n_out)
     elif system == "qutrit":
@@ -267,14 +271,14 @@ def _run(system, fp, dp, init, ap, duration, cfg, n_out, preset=None, expected=N
     return sim, series, report
 
 
-def run_preset(name, out_dir=None, cfg=None):
+def run_preset(name, out_dir=None):
     """Run a figure preset; returns the report dict (and writes artifacts)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     preset = PRESETS[name]
     sim, series, report = _run(preset.system, preset.fieldp, preset.damping, preset.init,
-                               preset.aniso, preset.duration, cfg or default_config(),
-                               preset.n_output, name, preset.expected)
+                               preset.aniso, preset.duration, preset.n_output, name,
+                               preset.expected)
     if out_dir is not None:
         write_artifacts(out_dir, sim, series, report)
     return report
@@ -321,15 +325,12 @@ def _analytic_reference(system, fp, dp, init, ap, times):
 
 
 def simulate(system, fp, duration, out_dir=None, dp=None, init=None, ap=None,
-             cfg=None, n_out=None, analytic=False):
+             n_out=_POINTS_PER_PERIOD + 1, analytic=False):
     """Free-parameter run with the same artifact set as run_preset."""
-    cfg = cfg or default_config()
     dp = dp or DampingParams()
     init = init or InitialAngles()
     ap = ap or AnisotropyParams()
-    if n_out is None:
-        n_out = cfg.output_points_per_period + 1
-    sim, series, report = _run(system, fp, dp, init, ap, duration, cfg, n_out)
+    sim, series, report = _run(system, fp, dp, init, ap, duration, n_out)
     deviation = None
     if analytic:
         ref = _analytic_reference(system, fp, dp, init, ap, sim["traj"].times)
@@ -341,14 +342,14 @@ def simulate(system, fp, duration, out_dir=None, dp=None, init=None, ap=None,
 
 
 def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
-                   init=None, cfg=None, points_per_period=300):
+                   points_per_period=300):
     """Enumerate commensurate pairs, compute the closing amplitude, integrate
     one common period, and report the endpoint-start distance."""
-    cfg = cfg or default_config()
+    cfg = default_config()
     if system == "qubit":
         if omega == 0.0:
             raise ValueError("qubit closure search needs a nonzero drive frequency")
-        y0 = (init or InitialAngles(math.acos(1.0 / math.sqrt(3.0)), 0.0)).bloch()
+        y0 = InitialAngles(math.acos(1.0 / math.sqrt(3.0)), 0.0).bloch()
         scale = 1.0
     else:
         y0 = bloch8_from_density(initial_density_north())
@@ -468,11 +469,9 @@ def main(argv=None):
             duration = args.duration
             if duration is None:
                 duration = args.periods * _natural_period(args, fp, ap_)
-            cfg = default_config()
-            n_out = int(cfg.output_points_per_period * max(1.0, args.periods)) + 1
+            n_out = int(_POINTS_PER_PERIOD * max(1.0, args.periods)) + 1
             report = simulate(args.system, fp, duration, out_dir=args.out, dp=dp,
-                              init=init, ap=ap_, cfg=cfg, n_out=n_out,
-                              analytic=args.analytic)
+                              init=init, ap=ap_, n_out=n_out, analytic=args.analytic)
             if report["analytic_max_deviation"] is not None:
                 print(f"analytic vs numeric max deviation: "
                       f"{report['analytic_max_deviation']:.3e}")

@@ -1,7 +1,6 @@
-"""Hodograph diagnostics on the unit sphere: spherical angles,
-precession/nutation rates, Frenet curvature/torsion/speed/arc length, the
-osculating-sphere identity, closed-form resonance geometry, and cusp/loop
-event detection.
+"""Hodograph diagnostics on the unit sphere: precession/nutation rates,
+Frenet curvature/torsion/speed/arc length, the osculating-sphere identity,
+closed-form resonance geometry, and cusp/loop event detection.
 
 The Frenet layer takes the first three time derivatives of the sampled
 vector from the equations of motion (:func:`~spinhodo.qubit.eom_jets`), so
@@ -27,7 +26,7 @@ from .elliptic import incomplete_e
 
 __all__ = [
     "GeometrySeries", "CuspEvent", "LoopEvent",
-    "spherical_angles", "angular_velocities", "frenet_geometry",
+    "angular_velocities", "frenet_geometry",
     "resonance_geometry", "adjoining_sphere_residual", "curvature_rate",
     "detect_cusps", "detect_loops", "count_torsion_sign_changes",
     "fd_derivative", "fornberg_weights",
@@ -41,6 +40,8 @@ _TILE = 64                # chord pairs are filtered in _TILE x _TILE blocks
 _SHORT_ARC = 1e-10        # |a x b| below this: the arc gets no bounding ball
 _BALL_PAD = 1e-9          # covers the 1e-12 predicate slack and rounding
 _DOT_SLACK = 1e-14        # rounding of the centre dot products
+_CUSP_SPEED = 0.05        # a cusp's speed is below this share of the median speed
+_CUSP_CURVATURE = 50.0    # and its curvature above this multiple of the median
 
 
 def fornberg_weights(z, x, m):
@@ -121,18 +122,6 @@ def _cumulative_parabolic(f, dt):
     inc[1:] = dt * (-f[:-2] + 8.0 * f[1:-1] + 5.0 * f[2:]) / 12.0
     out[1:] = np.cumsum(inc)
     return out
-
-
-def spherical_angles(p, pole_eps=_POLE_RHO):
-    """(theta, phi) of a unit vector; phi is None at the poles."""
-    p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-9:
-        raise ValueError("input is not a unit vector")
-    theta = math.acos(min(1.0, max(-1.0, p[2])))
-    rho = math.hypot(p[0], p[1])
-    if rho <= pole_eps:
-        return theta, None
-    return theta, math.atan2(p[1], p[0])
 
 
 def angular_velocities(p, h):
@@ -376,16 +365,16 @@ class LoopEvent:
     t_b: float
 
 
-def detect_cusps(series, speed_factor=0.05, curvature_factor=50.0):
-    """Cusps: local speed minima below speed_factor x median speed with a
-    curvature spike above curvature_factor x median curvature."""
+def detect_cusps(series):
+    """Cusps: local speed minima below _CUSP_SPEED x median speed with a
+    curvature spike above _CUSP_CURVATURE x median curvature."""
     v = series.speed
     k = series.curvature
     med_v = float(np.median(v))
     med_k = float(np.nanmedian(k))
     vi, ki = v[1:-1], k[1:-1]
-    cusp = ((vi <= v[:-2]) & (vi <= v[2:]) & (vi < speed_factor * med_v)
-            & np.isfinite(ki) & (ki > curvature_factor * med_k))
+    cusp = ((vi <= v[:-2]) & (vi <= v[2:]) & (vi < _CUSP_SPEED * med_v)
+            & np.isfinite(ki) & (ki > _CUSP_CURVATURE * med_k))
     return [CuspEvent(float(series.times[i]), float(v[i]), float(k[i]))
             for i in np.flatnonzero(cusp) + 1]
 
@@ -440,7 +429,7 @@ def detect_loops(times, p, max_segments=1500, guard=3):
     closed = np.linalg.norm(q[0] - q[-1]) < 1e-6
 
     a, b = q[:-1], q[1:]
-    normals = np.cross(a, b)
+    normals = _cross(a, b)
     nlen = np.linalg.norm(normals, axis=1)
     ok = nlen > 1e-14
     centre, radius = _chord_balls(a, b, nlen)
@@ -503,7 +492,7 @@ def _piercings(a, b, normals, nlen, i, j):
     Each pair gets the arithmetic of testing one chord against many: the
     same elementwise operations and einsum dot products, so the same bits.
     """
-    line = np.cross(normals[i], normals[j])
+    line = _cross(normals[i], normals[j])
     llen = np.linalg.norm(line, axis=1)
     good = llen > 1e-14
     i, j = i[good], j[good]
@@ -513,9 +502,9 @@ def _piercings(a, b, normals, nlen, i, j):
     found = []
     for s, sign in enumerate((1.0, -1.0)):
         xs = sign * x
-        inside = (np.einsum("ij,ij->i", np.cross(a[i], xs), n1) >= -1e-12) \
-            & (np.einsum("ij,ij->i", np.cross(xs, b[i]), n1) >= -1e-12) \
-            & (np.einsum("ij,ij->i", np.cross(a[j], xs), n2) >= -1e-12) \
-            & (np.einsum("ij,ij->i", np.cross(xs, b[j]), n2) >= -1e-12)
+        inside = (np.einsum("ij,ij->i", _cross(a[i], xs), n1) >= -1e-12) \
+            & (np.einsum("ij,ij->i", _cross(xs, b[i]), n1) >= -1e-12) \
+            & (np.einsum("ij,ij->i", _cross(a[j], xs), n2) >= -1e-12) \
+            & (np.einsum("ij,ij->i", _cross(xs, b[j]), n2) >= -1e-12)
         found.append(np.stack([i[inside], np.full(np.count_nonzero(inside), s), j[inside]]))
     return np.concatenate(found, axis=1)

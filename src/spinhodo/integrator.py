@@ -15,7 +15,6 @@ linear systems: the 3-component qubit coherence vector and the
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,17 +69,12 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    output_points_per_period: int = 2000
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (isinstance(self.output_points_per_period, numbers.Integral)
-                and self.output_points_per_period >= 1):
-            raise ValueError("output_points_per_period must be an integer >= 1, "
-                             f"got {self.output_points_per_period!r}")
 
 
 @dataclass
@@ -173,6 +167,7 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
         raise ValueError("empty integration span")
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
+    slack = 1e-12 * span   # float slack of every time comparison
 
     y = np.array(y0, dtype=float)
     t = t0
@@ -197,14 +192,14 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
     n_rejected = 0
 
     while (t1 - t) * direction > 0.0:
-        if abs(t1 - t) <= 1e-12 * max(1.0, abs(t1)):
+        if abs(t1 - t) <= slack:
             break  # span exhausted up to float slack
         if h <= abs(t) * 1e-14 + 1e-300:
             raise IntegrationError("step size underflow", t)
         h_try = min(h, abs(t1 - t))
         if exact_landing and next_out < len(out_times):
             gap = abs(out_times[next_out] - t)
-            if gap > 1e-12 * max(1.0, abs(t)):
+            if gap > slack:
                 h_try = min(h_try, gap)
 
         y_new, err, k = _step(rhs, t, y, f0, h_try, direction)
@@ -221,11 +216,11 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
         max_err = max(max_err, errn)
 
         if exact_landing:
-            while next_out < len(out_times) and abs(out_times[next_out] - t_new) <= 1e-12 * max(1.0, abs(t_new)):
+            while next_out < len(out_times) and abs(out_times[next_out] - t_new) <= slack:
                 out[next_out] = y_new
                 next_out += 1
         else:
-            reach = t_new * direction + 1e-12 * max(1.0, abs(t_new))
+            reach = t_new * direction + slack
             if next_out < len(out_times) and ahead[next_out] <= reach:
                 end = int(np.searchsorted(ahead, reach, side="right"))
                 hs = h_try * direction
@@ -249,16 +244,14 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
     return out, max_err, n_steps, n_rejected
 
 
-def integrate(rhs, y0, t_span, cfg=None, n_out=None):
-    """Integrate y' = rhs(t, y) over t_span onto a uniform output grid.
+def integrate(rhs, y0, t_span, cfg=None, *, n_out):
+    """Integrate y' = rhs(t, y) over t_span onto a uniform grid of n_out
+    points.
 
     Adaptive DOPRI5(4) stepping; output values come from the pair's
-    4th-order continuous extension.  `n_out` defaults to
-    cfg.output_points_per_period + 1 treating the span as one period.
+    4th-order continuous extension.
     """
     cfg = cfg or IntegratorConfig()
-    if n_out is None:
-        n_out = cfg.output_points_per_period + 1
     if n_out < 2:
         raise ValueError("need at least 2 output points")
     times = np.linspace(t_span[0], t_span[1], n_out)
@@ -270,9 +263,8 @@ def resample_uniform(rhs, n, y0, t_span, cfg=None):
     """Integrate y' = rhs(t, y) onto a uniform grid of n points, never
     interpolating.
 
-    Steps are clipped so the solver lands exactly on every grid time, which
-    keeps the samples free of interpolation error for the high-order finite
-    differences downstream.
+    Steps are clipped so the solver lands exactly on every grid time, so
+    the samples, the last one included, carry no interpolation error.
     """
     cfg = cfg or IntegratorConfig()
     if n < 7:

@@ -25,9 +25,8 @@ from .elliptic import sncndn_of
 
 __all__ = [
     "FieldMode", "FieldParams", "DampingParams", "InitialAngles",
-    "field_at", "bloch_rhs", "make_bloch_rhs", "bloch_generators", "eom_jets",
-    "analytic_rabi_general", "analytic_elliptic_resonance",
-    "spin_flip_probability", "bloch_length", "qubit_energy",
+    "field_at", "make_bloch_rhs", "bloch_generators", "eom_jets",
+    "analytic_rabi_general", "analytic_elliptic_resonance", "qubit_energy",
     "closed_trajectory_amplitude_qubit",
 ]
 
@@ -143,18 +142,9 @@ def field_at(t, fp):
     return h
 
 
-def bloch_rhs(t, R, fp, dp):
-    """Right-hand side of the coherence-vector equation (3-array)."""
-    h1, h2, h3 = field_at(t, fp)
-    return np.array([
-        h2 * R[2] - h3 * R[1] - dp.gamma2 * R[0],
-        h3 * R[0] - h1 * R[2] - dp.gamma2 * R[1],
-        h1 * R[1] - h2 * R[0] - dp.gamma1 * (R[2] - dp.r_eq),
-    ])
-
-
 def make_bloch_rhs(fp, dp):
-    """Closure form of :func:`bloch_rhs` for the integrator hot loop."""
+    """Right-hand side rhs(t, R) of the coherence-vector equation (3-array),
+    for the integrator hot loop."""
     drive, w, a1, a2, H = sncndn_of(fp.k), fp.omega, fp.h1, fp.h2, fp.H
     g1, g2, req = dp.gamma1, dp.gamma2, dp.r_eq
 
@@ -291,19 +281,6 @@ def analytic_elliptic_resonance(t, h, omega, k, gamma=0.0):
     if gamma != 0.0:
         R = R * np.exp(-gamma * t_arr)[..., None]
     return R[0] if np.isscalar(t) or np.ndim(t) == 0 else R
-
-
-def spin_flip_probability(R3):
-    """Spin-flip probability P = (1 - R3)/2 for |R3| <= 1."""
-    R3 = np.asarray(R3, dtype=float)
-    if np.any(np.abs(R3) > 1.0 + 1e-9):
-        raise ValueError("R3 outside [-1, 1]")
-    return (1.0 - R3) / 2.0
-
-
-def bloch_length(R):
-    """Euclidean length of the coherence vector (conserved when undamped)."""
-    return np.linalg.norm(np.asarray(R, dtype=float), axis=-1)
 
 
 def qubit_energy(R, h):

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import sncndn_of
-from .integrator import IntegratorConfig, resample_uniform
+from .integrator import integrate
 from .qubit import field_at
 
 __all__ = [
     "S1", "S2", "S3", "LAMBDA8", "AnisotropyParams",
-    "qutrit_hamiltonian", "qutrit_rhs", "make_qutrit_rhs_real", "qutrit_generators",
-    "qutrit_energy", "bloch8_from_density", "populations", "qutrit_polarization",
+    "qutrit_hamiltonian", "make_qutrit_rhs_real", "qutrit_generators",
+    "qutrit_energy", "bloch8_from_density", "populations",
     "polarization_series", "analytic_qutrit_resonance",
     "closed_trajectory_amplitude_qutrit", "evolve_density",
     "initial_density_north", "two_photon_frequency",
@@ -39,6 +39,7 @@ _SQRT32 = math.sqrt(1.5)
 # the couplings are then so weak that the frozen initial vector is exact to
 # rounding for any |t| below 1e100
 _F_FROZEN = 1e-150
+_SPIN_FLOOR = 1e-9     # a spin part of q shorter than this has no direction
 
 # spin-1 matrices, ladder normalization, basis (m = +1, 0, -1)
 S1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
@@ -94,12 +95,6 @@ def qutrit_hamiltonian(t, fp, ap):
     """3x3 Hermitian Hamiltonian h_i(t) S_i + Q-term + d-term."""
     h1, h2, h3 = field_at(t, fp)
     return h1 * S1 + h2 * S2 + h3 * S3 + ap.Q * _QUAD_Q + ap.d * _QUAD_D
-
-
-def qutrit_rhs(t, rho, fp, ap):
-    """Unitary Liouville derivative -i [H(t), rho] (Hermitian, traceless)."""
-    H = qutrit_hamiltonian(t, fp, ap)
-    return -1j * (H @ rho - rho @ H)
 
 
 def qutrit_generators(fp, ap):
@@ -175,28 +170,14 @@ def populations(q3, q6):
     return p
 
 
-def qutrit_polarization(q, eps=1e-9):
-    """Unit polarization direction q_{1..3}/|q_{1..3}|.
-
-    Raises when the spin part is too short to define a direction; callers
-    walking a trajectory should use :func:`polarization_series`, which
-    flags such samples instead.
-    """
-    q = np.asarray(q, dtype=float)
-    spin = q[..., :3]
-    n = np.linalg.norm(spin)
-    if n <= eps:
-        raise ValueError("spin part of q vanishes: polarization direction undefined")
-    return spin / n
-
-
-def polarization_series(qs, eps=1e-9):
-    """Unit polarization for each row of an (n, 8) array; NaN where undefined."""
+def polarization_series(qs):
+    """Unit polarization q_{1..3}/|q_{1..3}| for each row of an (n, 8) array;
+    NaN where the spin part is too short to define a direction."""
     qs = np.asarray(qs, dtype=float)
     spin = qs[:, :3]
     n = np.linalg.norm(spin, axis=1)
     out = np.full_like(spin, np.nan)
-    ok = n > eps
+    ok = n > _SPIN_FLOOR
     out[ok] = spin[ok] / n[ok, None]
     return out
 
@@ -251,19 +232,17 @@ def closed_trajectory_amplitude_qutrit(x, y, Q, d=0.0, sign=1.0):
     return sign * math.sqrt(y * y - x * x) * Q / (2.0 * x) - _SQRT2 * d
 
 
-def evolve_density(fp, ap, rho0, t_final, cfg=None, n_out=None):
-    """Integrate the unitary evolution; return (times, rhos, trajectory).
+def evolve_density(fp, ap, rho0, t_final, n_out):
+    """Integrate the unitary evolution onto n_out uniform times; return
+    (times, rhos, trajectory).
 
     The integrated state is the coherence vector: the trajectory's states
-    are q, shape (n, 8).  Each output density is rebuilt from it as
-    rho = (Tr(rho0) E + sum_a q_a L_a)/3, Hermitian by construction.
+    are q, shape (n, 8), from the integrator's dense output.  Each output
+    density is rebuilt from it as rho = (Tr(rho0) E + sum_a q_a L_a)/3,
+    Hermitian by construction.
     """
-    cfg = cfg or IntegratorConfig()
-    if n_out is None:
-        n_out = cfg.output_points_per_period + 1
-    rhs = make_qutrit_rhs_real(fp, ap)
-    traj = resample_uniform(rhs, n_out, y0=bloch8_from_density(rho0),
-                            t_span=(0.0, t_final), cfg=cfg)
+    traj = integrate(make_qutrit_rhs_real(fp, ap), bloch8_from_density(rho0),
+                     (0.0, t_final), n_out=n_out)
     rhos = (np.trace(rho0).real * _E3 + np.einsum('na,aij->nij', traj.states, LAMBDA8)) / 3.0
     return traj.times, rhos, traj
 

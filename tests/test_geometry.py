@@ -17,7 +17,7 @@ from spinhodo.geometry import (_POLE_RHO, LoopEvent, _unwrap_skipping,
                                angular_velocities, count_torsion_sign_changes,
                                curvature_rate, detect_cusps, detect_loops,
                                fd_derivative, fornberg_weights, frenet_geometry,
-                               resonance_geometry, spherical_angles)
+                               resonance_geometry)
 from spinhodo.presets import PRESETS
 from spinhodo.qubit import (DampingParams, FieldParams, InitialAngles,
                             analytic_rabi_general, bloch_generators, eom_jets,
@@ -84,17 +84,6 @@ def test_fd_derivative_edge_rows_same_order():
 
 
 # ------------------------------------------------------------------- angles
-
-def test_spherical_angles_examples():
-    th, ph = spherical_angles(np.array([0.0, 0.0, 1.0]))
-    assert th == 0.0 and ph is None
-    th, ph = spherical_angles(np.array([1.0, 0.0, 0.0]))
-    assert th == pytest.approx(math.pi / 2) and ph == pytest.approx(0.0)
-    th, ph = spherical_angles(np.array([0.0, -1.0, 0.0]))
-    assert th == pytest.approx(math.pi / 2) and ph == pytest.approx(-math.pi / 2)
-    with pytest.raises(ValueError):
-        spherical_angles(np.array([0.0, 0.0, 2.0]))
-
 
 def test_phi_unwrap_is_continuous():
     ts, p = rabi_unit_trajectory(ACOS13, 0.0, -0.6, 0.45, 3.0, 3, 3001)

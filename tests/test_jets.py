@@ -18,9 +18,11 @@ from scipy.special import ellipj
 from spinhodo.integrator import integrate
 from spinhodo.qubit import (DampingParams, FieldParams, InitialAngles,
                             analytic_elliptic_resonance, analytic_rabi_general,
-                            bloch_generators, bloch_rhs, eom_jets, make_bloch_rhs)
+                            bloch_generators, eom_jets, make_bloch_rhs)
 from spinhodo.qutrit import (AnisotropyParams, analytic_qutrit_resonance,
-                             bloch8_from_density, qutrit_generators, qutrit_rhs)
+                             bloch8_from_density, qutrit_generators)
+
+from oracles import bloch_rhs, qutrit_rhs
 
 
 def _finite(lo, hi):
