@@ -1,14 +1,16 @@
 """Error-controlled ODE integration with dense, uniform output.
 
-A Dormand-Prince 5(4) embedded pair with PI step-size control drives both
-linear systems: the 3-component qubit coherence vector and the
-8-component qutrit coherence vector.  Two output modes are provided:
+Hairer's DOP853, an 8th-order Runge-Kutta method with a combined 5th/3rd-
+order error estimate, drives both linear systems under PI step-size
+control: the 3-component qubit coherence vector and the 8-component qutrit
+coherence vector.  Two output modes are provided:
 
 * :func:`integrate` - adaptive stepping, output grid filled by the
-  standard 4th-order continuous extension of the pair; the step size is
-  set by the tolerance alone, so one step covers many output times.  Each
-  step that reaches the grid records its extension, and the records are
-  evaluated on the grid in blocks of rows, not one step at a time;
+  method's 7th-order continuous extension; the step size is set by the
+  tolerance alone, so one step covers many output times.  Each step that
+  reaches the grid evaluates the extension's three extra stages and
+  records its coefficients, and the records are evaluated on the grid in
+  blocks of rows, not one step at a time;
 * :func:`resample_uniform` - adaptive stepping clipped to land *exactly*
   on every output time (no interpolation), at one step per output time or
   more.
@@ -21,37 +23,80 @@ import numpy as np
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate", "resample_uniform"]
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10): 12 stages,
+# the FSAL stage 12 at (t+h, y_new), and stages 13-15 of the 7th-order
+# continuous extension, which only steps that reach an output time evaluate
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+               0.7777777777777778])
+_A = np.zeros((16, 16))
+for _i, _row in enumerate([
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
+     6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843, 5: 21.230051448181193,
+     6: 15.279233632882423, 7: -33.28821096898486, 8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
+     6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+     6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+     10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
+     8: 0.3111643669578199, 9: -0.1521609496625161, 10: 0.20136540080403034,
+     11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+     12: -0.00034046500868740456, 13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
+     8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
+     14: -9.15095847217987},
+], start=1):
+    _A[_i, list(_row)] = list(_row.values())
+_D = np.zeros((4, 16))
+_D[:, [0, *range(5, 16)]] = [
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
-
-# continuous-extension weights (4th-order dense output)
-_D = np.array([
-    -12715105075 / 11282082432,
-    0.0,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
-])
+_B = _A[12, :12]
+# error estimates of the 5th- and the 3rd-order embedded solutions; neither
+# weighs the FSAL stage
+_E5 = np.zeros(12)
+_E5[[0, *range(5, 12)]] = [0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+                           1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                           0.08192320648511571, -0.022355307863886294]
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+_WEIGHTS = np.array([_B, _E5, _E3])
+# (c_i, row i of A) of the stages a step evaluates, and of the extension's
+_STAGES = [(float(_C[i]), _A[i, :i]) for i in range(1, 12)]
+_EXTRA_STAGES = [(float(_C[i]), _A[i, :i]) for i in range(13, 16)]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 5.0   # PI controller exponents for a 5th-order pair
-_PI_BETA = 0.4 / 5.0
+_PI_ALPHA = 0.7 / 8.0   # PI controller exponents for an 8th-order pair
+_PI_BETA = 0.4 / 8.0
 _FILL_BLOCK_ROWS = 1024   # dense-output rows evaluated at once; bounds the temporaries
 _FILL_STEPS = 32          # continuous extensions held before they are evaluated
 
@@ -94,8 +139,18 @@ def _rms(x):
 
 
 def _error_norm(err, y_old, y_new, cfg):
+    """Hairer's DOP853 error norm of the stacked 5th- and 3rd-order estimates:
+    the weighted RMS of the 5th-order one times sqrt(n5 / (n5 + 0.01 n3)),
+    with n5 and n3 the sums of squares of the weighted estimates."""
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return _rms(err / scale)
+    e = err / scale
+    n5, n3 = np.add.reduce(e * e, axis=1).tolist()
+    denom = n5 + 0.01 * n3
+    if denom == 0.0:
+        # tiny estimates underflow in the squares: the sum is 0 only where n5
+        # is, and so is the norm
+        return 0.0
+    return n5 / math.sqrt(denom * e.shape[1])
 
 
 def _initial_step(rhs, t0, y0, f0, direction, span, cfg):
@@ -112,21 +167,30 @@ def _initial_step(rhs, t0, y0, f0, direction, span, cfg):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125   # 1/8: the error norm is of order h^8
     return min(100 * h0, h1)
 
 
-def _dense_coeffs(y_old, y_new, k, h):
+def _dense_coeffs(rhs, t, y_old, y_new, k, h):
+    """Coefficients of the 7th-order continuous extension of the step of
+    signed size h from (t, y_old); evaluates the extra stages 13-15 into k."""
+    for i, (c, a) in enumerate(_EXTRA_STAGES, start=13):
+        k[i] = rhs(t + c * h, y_old + h * (a @ k[:i]))
+    coeffs = np.empty((8,) + y_old.shape)
     ydiff = y_new - y_old
-    bspl = h * k[0] - ydiff
-    r4 = ydiff - h * k[6] - bspl
-    r5 = h * (_D @ k)
-    return y_old, ydiff, bspl, r4, r5
+    coeffs[0] = y_old
+    coeffs[1] = ydiff
+    coeffs[2] = h * k[0] - ydiff
+    coeffs[3] = 2.0 * ydiff - h * (k[0] + k[12])
+    coeffs[4:] = h * (_D @ k)
+    return coeffs
 
 
 def _dense_eval(coeffs, theta):
-    r1, r2, r3, r4, r5 = coeffs
-    return r1 + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
+    c0, c1, c2, c3, c4, c5, c6, c7 = coeffs
+    s = 1.0 - theta
+    return c0 + theta * (c1 + s * (c2 + theta * (c3 + s * (c4 + theta * (c5 + s * (
+        c6 + theta * c7))))))
 
 
 def _fill_dense(out, out_times, first, dense):
@@ -139,7 +203,7 @@ def _fill_dense(out, out_times, first, dense):
     """
     t_step, h_step, coeffs, ends = zip(*dense)
     t_step, h_step, ends = np.array(t_step), np.array(h_step), np.array(ends)
-    coeffs = np.array(coeffs)              # (steps, 5, dim)
+    coeffs = np.array(coeffs)              # (steps, 8, dim)
     for r0 in range(first, ends[-1], _FILL_BLOCK_ROWS):
         r1 = min(r0 + _FILL_BLOCK_ROWS, ends[-1])
         s = np.searchsorted(ends, np.arange(r0, r1), side="right")
@@ -148,17 +212,21 @@ def _fill_dense(out, out_times, first, dense):
 
 
 def _step(rhs, t, y, f0, h, direction):
-    """One DOPRI5 step of signed size h*direction; returns y_new, err, k."""
+    """One DOP853 step of signed size h*direction.
+
+    Returns y_new, the 5th- and 3rd-order error estimates stacked (2, dim),
+    and the stages k (16, dim): 0-11, then the FSAL stage 12 = rhs(t+h,
+    y_new); rows 13-15 are left for the continuous extension.
+    """
     hs = h * direction
-    k = np.empty((7,) + y.shape)
+    k = np.empty((16,) + y.shape)
     k[0] = f0
-    for i in range(1, 7):
-        yi = y + hs * (_A[i] @ k[:i])
-        k[i] = rhs(t + _C[i] * hs, yi)
-    y_new = y + hs * (_B5 @ k)
-    # FSAL: stage 7 was evaluated at (t+h, y_new) because _A[6] == _B5[:6]
-    err = hs * (_E @ k)
-    return y_new, err, k
+    for i, (c, a) in enumerate(_STAGES, start=1):
+        k[i] = rhs(t + c * hs, y + hs * (a @ k[:i]))
+    w = _WEIGHTS @ k[:12]
+    y_new = y + hs * w[0]
+    k[12] = rhs(t + hs, y_new)
+    return y_new, hs * w[1:], k
 
 
 def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
@@ -210,6 +278,10 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
             n_rejected += 1
             h = h_try * max(_MIN_FACTOR, _SAFETY * errn ** (-_PI_ALPHA))
             continue
+        # the error estimates give the FSAL stage no weight, yet it starts the
+        # next step and enters the continuous extension
+        if not np.isfinite(k[12]).all():
+            raise IntegrationError("non-finite derivative at the end of a step", t)
 
         t_new = t + h_try * direction
         n_steps += 1
@@ -224,7 +296,7 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
             if next_out < len(out_times) and ahead[next_out] <= reach:
                 end = int(np.searchsorted(ahead, reach, side="right"))
                 hs = h_try * direction
-                dense.append((t, hs, _dense_coeffs(y, y_new, k, hs), end))
+                dense.append((t, hs, _dense_coeffs(rhs, t, y, y_new, k, hs), end))
                 next_out = end
                 if len(dense) == _FILL_STEPS:
                     _fill_dense(out, out_times, first_dense, dense)
@@ -235,7 +307,7 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
         factor = _SAFETY * errn ** (-_PI_ALPHA) * err_prev ** _PI_BETA
         h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = errn
-        t, y, f0 = t_new, y_new, k[6]
+        t, y, f0 = t_new, y_new, k[12]
 
     if dense:
         _fill_dense(out, out_times, first_dense, dense)
@@ -248,8 +320,8 @@ def integrate(rhs, y0, t_span, cfg=None, *, n_out):
     """Integrate y' = rhs(t, y) over t_span onto a uniform grid of n_out
     points.
 
-    Adaptive DOPRI5(4) stepping; output values come from the pair's
-    4th-order continuous extension.
+    Adaptive DOP853 stepping; output values come from the method's
+    7th-order continuous extension.
     """
     cfg = cfg or IntegratorConfig()
     if n_out < 2:

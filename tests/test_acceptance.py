@@ -184,19 +184,37 @@ def test_fig3_phi_dot_caption(figure_reports):
     assert check["passed"]
 
 
-def test_fig3_phi_dot_range_is_the_closed_form(figure_reports):
-    reports, _ = figure_reports
-    preset = PRESETS["fig3"]
+def _closed_form_phi_dot(name):
+    """The field-form precession rate of angular_velocities on the exact
+    solution, on the preset grid, and the transverse radius of each sample."""
+    preset = PRESETS[name]
     fp = preset.fieldp
     t = np.linspace(0.0, preset.duration, preset.n_output)
     R = analytic_rabi_general(t, preset.init, fp.h1, fp.H, fp.omega)
     h = field_at(t, fp)
-    # the field-form precession rate of angular_velocities, on every sample
     rho2 = R[:, 0] ** 2 + R[:, 1] ** 2
-    rate = h[:, 2] - (h[:, 0] * R[:, 0] + h[:, 1] * R[:, 1]) * R[:, 2] / rho2
+    with np.errstate(divide="ignore", invalid="ignore"):   # at the pole, rho = 0
+        rate = h[:, 2] - (h[:, 0] * R[:, 0] + h[:, 1] * R[:, 1]) * R[:, 2] / rho2
+    return rate, np.sqrt(rho2)
+
+
+def test_fig3_phi_dot_range_is_the_closed_form(figure_reports):
+    reports, _ = figure_reports
+    rate, _ = _closed_form_phi_dot("fig3")
     observed = reports["fig3"]["observed"]["phi_dot"]
     assert np.allclose(observed, [rate.min(), rate.max()], rtol=0.0, atol=1e-9)
     assert rate.min() > 0.018
+
+
+def test_fig4_phi_dot_maximum_is_the_closed_form(figure_reports):
+    # the rate divides the state error by rho^2, and fig4's maximum sits at
+    # rho = 1.2e-3: an integration error of 1e-10 there moves it by about 1e-4.
+    # Samples below the pole radius of 1e-4 are flagged, not reported
+    reports, _ = figure_reports
+    rate, rho = _closed_form_phi_dot("fig4")
+    peak = rate[rho > 1e-4].max()
+    assert abs(peak - 0.2749999233) < 1e-10
+    assert abs(reports["fig4"]["observed"]["phi_dot"][1] - peak) < 1e-5
 
 
 @pytest.mark.xfail(strict=True,

@@ -1,14 +1,16 @@
-"""Integrator tests: linear oracle, tolerance scaling, dense vs exact output,
-and the batched dense fill against a per-step reference."""
+"""Integrator tests: the DOP853 tableau, linear oracle, tolerance scaling,
+dense vs exact output, and the batched dense fill against a per-step
+reference."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients
 
-from spinhodo.integrator import (_FILL_BLOCK_ROWS, _FILL_STEPS, _MAX_FACTOR,
-                                 _MIN_FACTOR, _PI_ALPHA, _PI_BETA, _SAFETY,
-                                 IntegrationError, IntegratorConfig,
+from spinhodo.integrator import (_A, _B, _C, _D, _E3, _E5, _FILL_BLOCK_ROWS,
+                                 _FILL_STEPS, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA,
+                                 _PI_BETA, _SAFETY, IntegrationError, IntegratorConfig,
                                  _dense_coeffs, _dense_eval, _error_norm,
                                  _initial_step, _step, integrate, resample_uniform)
 
@@ -19,6 +21,42 @@ def decay_rhs(t, y):
 
 def oscillator_rhs(t, y):
     return np.array([y[1], -4.0 * y[0]])
+
+
+def precession_rhs(t, y):
+    h = np.array([0.4 * math.cos(3.0 * t), 0.4 * math.sin(3.0 * t), 1.1])
+    return np.cross(h, y)
+
+
+def test_tableau_rows_sum_to_nodes():
+    # every stage, the extension's included, is evaluated at t + c_i h
+    assert np.allclose(_A.sum(axis=1), _C, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("q", range(8))
+def test_weights_meet_quadrature_conditions(q):
+    # an 8th-order method integrates t^q exactly for q <= 7
+    assert math.isclose(float(_B @ _C[:12] ** q), 1.0 / (q + 1), rel_tol=1e-14)
+
+
+def test_coefficients_equal_scipy_dop853_table():
+    ref = dop853_coefficients
+    assert np.array_equal(_C, ref.C)
+    assert np.array_equal(_A, ref.A)
+    assert np.array_equal(_B, ref.B)
+    assert np.array_equal(_D, ref.D)
+    # scipy carries the FSAL stage in its error weights, at weight 0
+    assert np.array_equal(_E5, ref.E5[:12]) and ref.E5[12] == 0.0
+    assert np.array_equal(_E3, ref.E3[:12]) and ref.E3[12] == 0.0
+
+
+def test_dense_extension_meets_the_step_ends():
+    t, h = 0.3, 0.4
+    y = np.array([0.0, 0.6, 0.8])
+    y_new, _, k = _step(precession_rhs, t, y, precession_rhs(t, y), h, 1.0)
+    coeffs = _dense_coeffs(precession_rhs, t, y, y_new, k, h)
+    assert np.array_equal(_dense_eval(coeffs, 0.0), y)
+    assert np.allclose(_dense_eval(coeffs, 1.0), y_new, rtol=0.0, atol=1e-15)
 
 
 def test_linear_decay():
@@ -96,6 +134,22 @@ def test_non_finite_step_rejected():
         integrate(rhs, np.array([0.0, 0.0, 1.0]), (0.0, 5.0), n_out=11)
 
 
+def test_non_finite_fsal_stage_rejected():
+    # the error estimates give the FSAL stage f(t+h, y_new) no weight, so a NaN
+    # there passes the error test, yet it would start the next step and enter
+    # the continuous extension.  Calls 1-2 are the start and the startup
+    # estimate, 3-13 the stages 1-11 of the first step, 14 its FSAL stage.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return math.nan * y if len(calls) == 14 else -0.7 * y
+
+    with pytest.raises(IntegrationError, match="non-finite derivative.*t=0"):
+        integrate(rhs, np.array([1.0]), (0.0, 5.0), n_out=11)
+    assert len(calls) == 14
+
+
 @pytest.mark.parametrize("t1", [2.0, -2.0])
 def test_rhs_never_evaluated_past_the_span(t1):
     # a slow solution makes the startup estimate ask for a step of about 1e7;
@@ -125,11 +179,6 @@ def test_unit_norm_preserved_through_resampling():
     traj = resample_uniform(rhs, 2001, y0=y0, t_span=(0.0, 30.0))
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
-
-
-def precession_rhs(t, y):
-    h = np.array([0.4 * math.cos(3.0 * t), 0.4 * math.sin(3.0 * t), 1.1])
-    return np.cross(h, y)
 
 
 def kicked_decay_rhs(t, y):
@@ -175,14 +224,14 @@ def _integrate_per_step(rhs, y0, t_span, n_out, cfg=None):
         end = int(np.searchsorted(ahead, t_new * direction + slack, side="right"))
         if end > next_out:
             theta = (out_times[next_out:end] - t) / (h_try * direction)
-            out[next_out:end] = _dense_eval(_dense_coeffs(y, y_new, k, h_try * direction),
-                                            np.clip(theta, 0.0, 1.0)[:, None])
+            coeffs = _dense_coeffs(rhs, t, y, y_new, k, h_try * direction)
+            out[next_out:end] = _dense_eval(coeffs, np.clip(theta, 0.0, 1.0)[:, None])
             next_out = end
         errn = max(errn, 1e-10)
         factor = _SAFETY * errn ** (-_PI_ALPHA) * err_prev ** _PI_BETA
         h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = errn
-        t, y, f0 = t_new, y_new, k[6]
+        t, y, f0 = t_new, y_new, k[12]
     guarded = n_out - next_out
     out[next_out:] = y
     return out, (max_err, n_steps, n_rejected), guarded
