@@ -8,6 +8,7 @@ are emitted with 17 significant digits; runs are fully deterministic.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -162,17 +163,166 @@ def _analyze(sim, expected=None):
 
 
 # ----------------------------------------------------------------- artifacts
+#
+# A CSV cell is the bytes of "%.17g" % x, made by numpy on whole blocks.  A
+# cell is 30 byte slots, held slot-major, shape (30, n), so that every
+# operation runs along the cells:
+#
+#   0       sign
+#   1-5     the "0.000" prefix of fixed notation below 1
+#   6-23    17 digits and the decimal point, which sits at slot 6 + dp
+#   24-28   "e", the exponent's sign and three digits
+#   29      the separator, filled by the caller
+#
+# A keep-mask zeroes the slots a cell does not use; the writer transposes a
+# block to file order and deletes the NUL bytes, which no cell contains.
+#
+# The digits are D = round(|x| 10^(16-X)), X = floor(log10 |x|), from a
+# double-double product.  A cell whose rounding that cannot certify is
+# formatted by Python instead: |x| outside [1e-260, 1e260], a scaled value
+# within 1e-6 of a tie, or an exponent still out of range after one
+# correction.  That is Grisu3's certify-or-fall-back scheme (Loitsch,
+# "Printing floating-point numbers quickly and accurately with integers",
+# PLDI 2010).
 
-_CSV_BLOCK_ROWS = 1024   # rows formatted per % operation; bounds the temporaries
-_FLAG_TEXT = ("0,0", "0,1", "1,0", "1,1")   # the valid,pole cells, indexed by 2 valid + pole
+_CSV_BLOCK_ROWS = 256   # rows per block: its temporaries, 2.3 MB at 27 columns, set the peak
+_FLAG_BYTES = np.frombuffer(b"0,0\n0,1\n1,0\n1,1\n", np.uint8).reshape(4, 4)  # by 2 valid + pole
+_SLOTS, _MANTISSA, _EXPONENT, _SEPARATOR = 30, 6, 24, 29
+_FAST_MIN, _FAST_MAX = 1e-260, 1e260
+_K_MIN, _K_MAX = -245, 278        # 10^k for k = 16 - X, X in [-262, 261]
+_TIE_BAND = 1e-6                  # |f| this near 1/2 may be a tie: Python decides it
+_SPLIT = 134217729.0              # 2^27 + 1, Dekker's splitter
+_E16, _E17 = 10 ** 16, 10 ** 17
 
 
-def _format_rows(columns, r0, r1):
-    """Rows r0..r1 of `columns` as "%.17g" cells joined by commas, one
-    string per row."""
-    row = ",".join(["%.17g"] * len(columns))
-    block = np.column_stack([col[r0:r1] for col in columns])
-    return ("\n".join([row] * len(block)) % tuple(block.ravel().tolist())).split("\n")
+def _pow10(k):
+    """(hi, lo): 10^k = hi + lo to about 2^-106, from exact integers."""
+    if k >= 0:
+        hi = float(10 ** k)
+        return hi, float(10 ** k - int(hi))
+    e = 10 ** -k
+    hi = 1 / e
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * e) / (den * e)
+
+
+@functools.cache
+def _format_tables():
+    """The 4-digit chunks "0000".."9999" as packed uint32, and the split
+    powers of ten, one column per k; built on the first write, so that
+    importing stays cheap."""
+    i = np.arange(10000)
+    chunks = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], 1) + ord("0")
+    hi, lo = np.array([_pow10(k) for k in range(_K_MIN, _K_MAX + 1)]).T
+    t = _SPLIT * hi
+    hi_hi = t - (t - hi)
+    return chunks.astype(np.uint8).view(np.uint32).ravel(), np.stack([hi, hi_hi, hi - hi_hi, lo])
+
+
+def _chunk_bytes(chunks, c):
+    """The 4 ASCII digits of each 0 <= c < 10000, shape (len(c), 4)."""
+    return np.take(chunks, c).view(np.uint8).reshape(-1, 4)
+
+
+def _scaled(ax, k, pow10):
+    """ax 10^k as D + f, D the nearest integer (int64) and |f| <= 1/2.
+
+    ax * hi is taken exactly as p + err (Dekker), ax * lo is added to err;
+    valid for ax in [1e-260, 1e260] and k in [_K_MIN, _K_MAX]."""
+    hi, hi_hi, hi_lo, lo = np.take(pow10, k - _K_MIN, axis=1)
+    p = ax * hi
+    t = _SPLIT * ax
+    ax_hi = t - (t - ax)
+    ax_lo = ax - ax_hi
+    err = ((ax_hi * hi_hi - p) + ax_hi * hi_lo + ax_lo * hi_hi) + ax_lo * hi_lo
+    whole = np.rint(p)
+    r = (p - whole) + (err + ax * lo)
+    carry = np.rint(r)
+    return whole.astype(np.int64) + carry.astype(np.int64), r - carry
+
+
+def _g17_slots(x):
+    """The cells "%.17g" % v of the float64 array `x`, as uint8 slots of
+    shape (30, len(x)), NUL where a cell has no byte (see the layout above);
+    slot 29 is left NUL for the separator."""
+    chunks, pow10 = _format_tables()
+    n = len(x)
+    ax = np.abs(x)
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)     # False for 0, nan, inf
+    ax = np.where(fast, ax, 1.0)
+    X = np.floor(np.log10(ax)).astype(np.int64)
+    D, f = _scaled(ax, 16 - X, pow10)
+    # log10 may put X one off near a power of ten.  Decide that on the
+    # unrounded D + f: below 1e16 X is too high (the double nearest 1e-12
+    # scales to 9999999999999999.8 at X = -12), from 1e17 + 1/2 too low
+    low = (D < _E16) | ((D == _E16) & (f < 0))
+    redo = np.flatnonzero(low | (D > _E17))
+    if redo.size:
+        X[redo] += np.where(low[redo], -1, 1)
+        D[redo], f[redo] = _scaled(ax[redo], 16 - X[redo], pow10)
+    carry = D == _E17              # rounds up into the next decade
+    D[carry] = _E16
+    X[carry] += 1
+    fast &= (D >= _E16) & (D < _E17) & (np.abs(np.abs(f) - 0.5) >= _TIE_BAND)
+    D = np.where(fast, D, 0)       # zero prints as "0"; the rest is overwritten
+    X = np.where(fast, X, 0)
+
+    # the 17 digits, rows 1-17 of `digits`; rows 0 and 18 pad the shift below
+    digits = np.zeros((19, n), np.uint8)
+    c0 = D // _E16
+    digits[1] = c0 + ord("0")
+    rest = D - c0 * _E16
+    upper = rest // 10 ** 8
+    lower = rest - upper * 10 ** 8
+    c1 = upper // 10 ** 4
+    c3 = lower // 10 ** 4
+    cs = (c1, upper - c1 * 10 ** 4, c3, lower - c3 * 10 ** 4)
+    for row, c in zip((2, 6, 10, 14), cs):
+        digits[row:row + 4] = _chunk_bytes(chunks, c).T
+    # the digits up to the last nonzero one (none for D = 0)
+    significant = np.max(np.arange(1, 18, dtype=np.uint8)[:, None] * (digits[1:18] != ord("0")),
+                         axis=0)
+
+    # fixed notation for -4 <= X < 17; below 1 the digits follow "0.000"
+    # and the point (dp = 17) is never kept
+    fixed = (X >= -4) & (X < 17)
+    whole = fixed & (X >= 0)
+    dp = np.where(whole, X + 1, np.where(fixed, 17, 1)).astype(np.uint8)
+    kept = np.where(whole, np.maximum(significant, X + 1), significant).astype(np.uint8)
+    kept += kept > dp              # the point, where a digit follows it
+    prefix = np.where(fixed & (X < 0), 1 - X, 0).astype(np.uint8)
+
+    chars = np.empty((_SLOTS, n), np.uint8)
+    keep = np.empty((_SEPARATOR, n), bool)
+    chars[0] = ord("-")
+    keep[0] = np.signbit(x)
+    chars[1:_MANTISSA] = np.frombuffer(b"0.000", np.uint8)[:, None]
+    keep[1:_MANTISSA] = np.arange(5, dtype=np.uint8)[:, None] < prefix
+    # slot j of the mantissa holds digit j before the point, j - 1 after it
+    j = np.arange(18, dtype=np.uint8)[:, None]
+    before, after = digits[1:], digits[:-1]
+    chars[_MANTISSA:_EXPONENT] = before ^ ((before ^ after) * (j > dp).view(np.uint8))
+    chars.reshape(-1)[(_MANTISSA + dp.astype(np.intp)) * n + np.arange(n)] = ord(".")
+    keep[_MANTISSA:_EXPONENT] = j < kept
+    sci = ~fixed
+    aX = np.abs(X)
+    chars[24] = ord("e")
+    chars[25] = ord("+") + 2 * (X < 0).view(np.uint8)           # "-" is "+" + 2
+    chars[26:29] = _chunk_bytes(chunks, aX)[:, 1:].T
+    keep[24:29] = sci
+    keep[26] &= aX >= 100
+    chars[:_SEPARATOR] *= keep
+    chars[_SEPARATOR] = 0
+
+    # nan and inf are looked up; Python formats what the fast path declined
+    other = np.flatnonzero(~fast & (x != 0))
+    if other.size:
+        v = x[other]
+        text = np.array([b"nan", b"inf", b"-inf"], "S29")[np.where(np.isnan(v), 0, 1 + (v < 0))]
+        finite = np.isfinite(v)
+        text[finite] = ["%.17g" % a for a in v[finite].tolist()]
+        chars[:_SEPARATOR, other] = text.view(np.uint8).reshape(-1, _SEPARATOR).T
+    return chars
 
 
 def _write_csvs(out, t, lead, shared, tail, valid, pole):
@@ -180,20 +330,28 @@ def _write_csvs(out, t, lead, shared, tail, valid, pole):
     (t, lead, shared, tail) together, block by block.
 
     `lead`, `shared` and `tail` map column names to columns.  Each block
-    formats t and the shared columns once for both files; the 0/1 flags are
-    looked up, not formatted.
+    formats the union of the columns once, row by row; geometry.csv takes
+    t and the shared cells from the same slots, and the 0/1 flags are looked
+    up, not formatted.
     """
-    flags = 2 * np.asarray(valid, dtype=int) + np.asarray(pole, dtype=int)
-    with open(out / "geometry.csv", "w") as geo, open(out / "trajectory.csv", "w") as traj:
-        geo.write(",".join(["t", *shared, "valid", "pole"]) + "\n")
-        traj.write(",".join(["t", *lead, *shared, *tail]) + "\n")
-        groups = [[t], list(lead.values()), list(shared.values()), list(tail.values())]
+    columns = [t, *lead.values(), *shared.values(), *tail.values()]
+    first = 1 + len(lead)
+    last = first + len(shared)
+    flags = _FLAG_BYTES[2 * np.asarray(valid, dtype=int) + np.asarray(pole, dtype=int)]
+    with open(out / "geometry.csv", "wb") as geo, open(out / "trajectory.csv", "wb") as traj:
+        geo.write((",".join(["t", *shared, "valid", "pole"]) + "\n").encode())
+        traj.write((",".join(["t", *lead, *shared, *tail]) + "\n").encode())
         for r0 in range(0, len(t), _CSV_BLOCK_ROWS):
-            r1 = r0 + _CSV_BLOCK_ROWS
-            ts, ls, ss, es = (_format_rows(cols, r0, r1) for cols in groups)
-            fs = map(_FLAG_TEXT.__getitem__, flags[r0:r1].tolist())
-            geo.write("".join([f"{a},{b},{c}\n" for a, b, c in zip(ts, ss, fs)]))
-            traj.write("".join([f"{a},{b},{c},{d}\n" for a, b, c, d in zip(ts, ls, ss, es)]))
+            block = np.stack([col[r0:r0 + _CSV_BLOCK_ROWS] for col in columns], 1)
+            rows = len(block)
+            chars = _g17_slots(block.ravel())
+            chars[_SEPARATOR] = ord(",")
+            chars[_SEPARATOR, len(columns) - 1::len(columns)] = ord("\n")
+            # (slot, cell) -> (row, column, slot): the cells in file order
+            cells = np.ascontiguousarray(chars.T).reshape(rows, len(columns), _SLOTS)
+            traj.write(cells.tobytes().translate(None, b"\0"))
+            geo.write(np.concatenate([cells[:, 0], cells[:, first:last].reshape(rows, -1),
+                                      flags[r0:r0 + rows]], 1).tobytes().translate(None, b"\0"))
 
 
 def write_artifacts(out_dir, sim, series, report):
@@ -434,7 +592,10 @@ def _natural_period(args, fp, ap):
     if args.system == "qubit":
         if fp.mode is FieldMode.ELLIPTIC and fp.k > 0.0:
             return 4.0 * complete_k(fp.k) / abs(fp.omega)
-        Om = math.hypot(fp.H - fp.omega, args.h)
+        h = args.h
+        if fp.mode is FieldMode.LINEAR and fp.omega != 0.0:
+            h /= 2.0     # h cos(wt) co-rotates with amplitude h/2 (rotating-wave)
+        Om = math.hypot(fp.H - fp.omega, h)
         if Om == 0.0:
             raise ValueError("degenerate parameters: specify --duration explicitly")
         return 2.0 * math.pi / Om

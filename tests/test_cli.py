@@ -2,17 +2,25 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import spinhodo
 from spinhodo import cli
 from spinhodo.cli import (UnsupportedAnalytic, closure_search, default_config,
                           main, run_preset, simulate)
 from spinhodo.elliptic import complete_k
-from spinhodo.integrator import IntegratorConfig, resample_uniform
+from spinhodo.integrator import IntegratorConfig, integrate, resample_uniform
 from spinhodo.presets import PRESETS
-from spinhodo.qubit import DampingParams, FieldParams, InitialAngles
+from spinhodo.qubit import DampingParams, FieldParams, InitialAngles, make_bloch_rhs
 from spinhodo.qutrit import (AnisotropyParams, bloch8_from_density,
                              initial_density_north, make_qutrit_rhs_real)
 
@@ -136,6 +144,77 @@ def test_csv_writer_special_values(tmp_path):
     cli._write_csvs(*args)
     _write_csvs_per_cell(*args)
     _assert_csvs_match_reference(tmp_path)
+
+
+def _assert_g17(values):
+    """cli._g17_slots gives the bytes of "%.17g" % v for every value."""
+    x = np.asarray(values, dtype=np.float64)
+    slots = cli._g17_slots(x)
+    assert slots.shape == (30, len(x)) and slots.flags.c_contiguous   # slot-major
+    slots[-1] = ord("\n")
+    got = slots.T.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    want = ["%.17g" % v for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+@settings(deadline=None)
+@given(st.floats())
+@example(1e-12)                  # log10 gives X = -12, where it scales to 9999999999999999.8
+@example(99999999999999999.0)    # the double 1e17
+@example(1e16)
+@example(1e17)
+@example(1e-4)                   # the last fixed exponent
+@example(1e-5)                   # the first scientific one below 1
+@example(-0.0)
+@example(5e-324)
+@example(1e300)
+@example(1e260)
+@example(-1e260)
+@example(1e-260)
+@example(-1e-260)
+@example(2.0 ** -25)             # 2.98023223876953125e-08: an exact tie, kept even
+@example(43 * 2.0 ** -22)        # 1.02519989013671875e-05: an exact tie, rounded up to even
+def test_g17_matches_percent_format(x):
+    _assert_g17([x])
+
+
+def test_g17_matches_percent_format_in_bulk():
+    # every exponent, sign, payload and subnormal, in blocks as the writer
+    # passes them; then +-3 ulps around every power of ten, where log10 puts
+    # the exponent one off and the digits carry into the next decade
+    bits = np.random.default_rng(10).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+    for block in np.split(bits.view(np.float64), 20):
+        _assert_g17(block)
+    tens = np.array([float(f"1e{e}") for e in range(-300, 301)]).view(np.int64)
+    near = np.concatenate([(tens + ulps).view(np.float64) for ulps in range(-3, 4)])
+    _assert_g17(np.concatenate([near, -near]))
+
+
+def test_format_tables_are_built_on_first_write():
+    # building them costs milliseconds that every import would pay
+    probe = "import spinhodo.cli as c; assert c._format_tables.cache_info().currsize == 0"
+    env = {**os.environ, "PYTHONPATH": str(Path(spinhodo.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+def test_csv_writer_peak_memory_is_one_block(tmp_path, monkeypatch):
+    # the writer formats _CSV_BLOCK_ROWS rows at a time, so on fig10 (20,001
+    # rows of 27 cells) its peak stays under 4 MB and under that of the run
+    calls = []
+    monkeypatch.setattr(cli, "write_artifacts", lambda *args: calls.append(args))
+    tracemalloc.start()
+    try:
+        run_preset("fig10", out_dir=tmp_path)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.undo()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cli.write_artifacts(*calls[0])
+        write_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert write_peak < min(4e6, run_peak)
 
 
 def test_caption_checks_recorded(fig5_run):
@@ -293,6 +372,23 @@ def test_qutrit_natural_period_counts_d(tmp_path, capsys):
         assert "nonzero transverse amplitude h" in capsys.readouterr().err
     assert main(argv + ["--d", "0"]) == 2
     assert "degenerate parameters" in capsys.readouterr().err
+
+
+def test_linear_natural_period_is_the_rotating_wave_period():
+    # h cos(wt) co-rotates with amplitude h/2, so one period is 2 pi/hypot(H - w, h/2);
+    # under the circular 2 pi/hypot(H - w, h) it ends at the south pole
+    argv = ["simulate", "--system", "qubit", "--mode", "linear", "--h", "0.02", "--H", "1",
+            "--out", "unused"]
+    fp = FieldParams.linear(0.02, 1.0, 1.0)
+    period = cli._natural_period(cli._build_parser().parse_args(argv), fp, AnisotropyParams())
+    r0 = InitialAngles().bloch()
+    traj = integrate(make_bloch_rhs(fp, DampingParams()), r0, (0.0, period), default_config(),
+                     n_out=2)
+    assert np.linalg.norm(traj.states[-1] - r0) < 1e-3
+    # at omega = 0 the linear and circular drives are the same static field
+    static = cli._natural_period(cli._build_parser().parse_args(argv + ["--omega", "0"]),
+                                 FieldParams.linear(0.02, 1.0, 0.0), AnisotropyParams())
+    assert static == 2.0 * math.pi / math.hypot(1.0, 0.02)
 
 
 def test_main_rejects_a_run_without_hodograph(tmp_path, capsys):
