@@ -10,11 +10,13 @@ difference on the uniform grid (Fornberg weights, shifted windows at the
 edges).
 
 Event detectors are vectorised over samples.  Loop detection tests chord
-pairs of the subsampled polyline with a great-circle predicate; a padded
-bounding-ball filter, evaluated in fixed-size tiles of chord pairs, keeps
-every pair that predicate can accept and passes only those to it.  The
-predicate itself is the unchanged per-pair arithmetic, so the events are
-exact, not an approximation of a brute-force pass over all pairs.
+pairs of the subsampled polyline with a great-circle predicate.  A padded
+bounding ball around each chord keeps every pair that predicate can accept;
+the pairs are found in one pass over strips of consecutive chords, where a
+ball around each strip first drops the later chords out of its reach, and
+the candidates reach the predicate in a few large batches.  The predicate
+itself is the unchanged per-pair arithmetic, so the events are exact, not
+an approximation of a brute-force pass over all pairs.
 """
 
 import math
@@ -36,10 +38,18 @@ _STENCIL = 7
 _POLE_RHO = 1e-4          # below this transverse radius phi and the rates are flagged
 _SPEED_FLOOR = 1e-6       # |p'| below this leaves curvature/torsion unreliable
 _TORSION_BAND = 1e-9      # torsion signs count beyond this share of max |torsion|
-_TILE = 64                # chord pairs are filtered in _TILE x _TILE blocks
+_STRIP = 32               # first chords per strip of the candidate pass
+_BATCH = 8192             # candidate pairs per predicate call, at most
 _SHORT_ARC = 1e-10        # |a x b| below this: the arc gets no bounding ball
 _BALL_PAD = 1e-9          # covers the 1e-12 predicate slack and rounding
 _DOT_SLACK = 1e-14        # rounding of the centre dot products
+# The chord-ball test keeps c_i.c_j >= 1 - reach^2/2 - _DOT_SLACK.  The centres
+# are unit to 2.2e-16, so it keeps |c_i - c_j|^2 <= reach^2 + 2 _DOT_SLACK
+# + 1.5e-15 at most, and |c_i - c_j| <= reach + sqrt(2.15e-14) = reach
+# + 1.5e-7.  With the triangle inequality through any strip chord i, a chord j
+# the test can keep lies within strip radius + r_j + 1.5e-7 of the strip
+# centre; 1e-6 also covers the rounding of that distance and its terms.
+_STRIP_PAD = 1e-6
 _CUSP_SPEED = 0.05        # a cusp's speed is below this share of the median speed
 _CUSP_CURVATURE = 50.0    # and its curvature above this multiple of the median
 
@@ -412,9 +422,13 @@ def detect_loops(times, p, max_segments=1500, guard=3):
     Each chord is bounded by a ball around its arc, padded beyond the
     predicate's slack and rounding, and only pairs whose balls overlap are
     passed to the predicate.  The filter keeps every pair the predicate can
-    accept and the predicate is unchanged, so the result is exact.  Pairs
-    are filtered in fixed-size tiles, which bounds the temporaries whatever
-    the number of chords.
+    accept and the predicate is unchanged, so the result is exact.  The
+    first chords of the pairs are taken in strips of _STRIP consecutive
+    chords: one ball around the strip's balls drops, in one vector
+    operation, every later chord that cannot reach any of them, and the
+    chord-ball test runs on the strip against the chords left.  The pairs
+    it keeps go to the predicate in batches of at most _BATCH, which bounds
+    the temporaries whatever the number of chords.
     """
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -431,29 +445,65 @@ def detect_loops(times, p, max_segments=1500, guard=3):
     a, b = q[:-1], q[1:]
     normals = _cross(a, b)
     nlen = np.linalg.norm(normals, axis=1)
-    ok = nlen > 1e-14
     centre, radius = _chord_balls(a, b, nlen)
 
-    hits = []
-    last_row = m - guard - 1
-    for r0 in range(0, last_row, _TILE):
-        rows = np.arange(r0, min(r0 + _TILE, last_row))
-        for c0 in range(r0 + guard + 1, m, _TILE):
-            cols = np.arange(c0, min(c0 + _TILE, m))
-            gap = cols - rows[:, None]
-            reach = radius[rows, None] + radius[cols]
-            keep = centre[rows] @ centre[cols].T >= 1.0 - 0.5 * reach * reach - _DOT_SLACK
-            keep &= (gap > guard) & ok[rows, None] & ok[cols]
-            if closed:  # cyclic neighbourhood of the seam
-                keep &= gap < m - guard
-            ii, jj = np.nonzero(keep)
-            if ii.size:
-                hits.append(_piercings(a, b, normals, nlen, rows[ii], cols[jj]))
+    chords = np.flatnonzero(nlen > 1e-14)   # a shorter chord has no plane
+    n_rows = np.searchsorted(chords, m - guard - 1)
+    hits, pending, n_pending = [], [], 0
+    for k in range(0, n_rows, _STRIP):
+        rows = chords[k:min(k + _STRIP, n_rows)]
+        cols = chords[np.searchsorted(chords, rows[0] + guard, side="right"):]
+        c_rows, r_rows = centre[rows], radius[rows]
+        strip_centre = c_rows.mean(axis=0)
+        strip_radius = np.max(np.linalg.norm(c_rows - strip_centre, axis=1) + r_rows)
+        if strip_radius < np.inf:   # else an unbounded chord: every column stays
+            d = centre[cols] - strip_centre
+            reach = radius[cols] + (strip_radius + _STRIP_PAD)
+            cols = cols[np.einsum("ij,ij->i", d, d) <= reach * reach]
+            del d, reach
+        # the chord-ball test, with its threshold built in place
+        limit = r_rows[:, None] + radius[cols]
+        limit *= limit
+        limit *= -0.5
+        limit += 1.0
+        limit -= _DOT_SLACK
+        keep = c_rows @ centre[cols].T >= limit
+        del limit
+        # guard band and seam: only the first and last columns can break them
+        g = np.searchsorted(cols, rows[-1] + guard, side="right")
+        keep[:, :g] &= cols[:g] > rows[:, None] + guard
+        if closed:  # cyclic neighbourhood of the seam
+            g = np.searchsorted(cols, rows[0] + m - guard)
+            keep[:, g:] &= cols[g:] < rows[:, None] + (m - guard)
+        ii, jj = np.nonzero(keep)
+        del keep
+        if ii.size:
+            pending.append((rows[ii], cols[jj]))
+            n_pending += ii.size
+        del ii, jj
+        if n_pending >= _BATCH:
+            _pierce_pending(hits, pending, a, b, normals, nlen)
+            n_pending = 0
+    _pierce_pending(hits, pending, a, b, normals, nlen)
     if not hits:
         return []
     i, sign, j = np.concatenate(hits, axis=1)
     order = np.lexsort((j, sign, i))
     return [LoopEvent(float(tq[i[k]]), float(tq[j[k]])) for k in order]
+
+
+def _pierce_pending(hits, pending, a, b, normals, nlen):
+    """Test the pending candidate pairs in batches of at most _BATCH pairs,
+    append the piercings to `hits` and empty `pending`."""
+    if not pending:
+        return
+    i = np.concatenate([pair[0] for pair in pending])
+    j = np.concatenate([pair[1] for pair in pending])
+    pending.clear()
+    for s in range(0, len(i), _BATCH):
+        found = _piercings(a, b, normals, nlen, i[s:s + _BATCH], j[s:s + _BATCH])
+        if found.shape[1]:
+            hits.append(found)
 
 
 def _chord_balls(a, b, nlen):
