@@ -416,8 +416,14 @@ def detect_loops(times, p, max_segments=1500, guard=3):
     intersect when the line of their great-circle planes pierces both short
     arcs (tested for both directions of the line, with a 1e-12 slack).
     Chord pairs closer than `guard` segments (cyclically, when the trajectory
-    is closed) are excluded.  Events are ordered by the first chord, then the
-    direction (+ before -), then the second chord.
+    is closed) are excluded.
+
+    A crossing at or near a chord vertex pierces the two chords on each side
+    of it, so it can be found 1, 2 or 4 times.  Piercings with the same
+    direction whose first chords and whose second chords each differ by at
+    most 1 are one crossing; the relation is closed transitively, and each
+    crossing is reported once, as its first piercing.  Events are ordered by
+    the first chord, then the direction (+ before -), then the second chord.
 
     Each chord is bounded by a ball around its arc, padded beyond the
     predicate's slack and rounding, and only pairs whose balls overlap are
@@ -489,7 +495,33 @@ def detect_loops(times, p, max_segments=1500, guard=3):
         return []
     i, sign, j = np.concatenate(hits, axis=1)
     order = np.lexsort((j, sign, i))
-    return [LoopEvent(float(tq[i[k]]), float(tq[j[k]])) for k in order]
+    i, sign, j = i[order], sign[order], j[order]
+    return [LoopEvent(float(tq[i[k]]), float(tq[j[k]]))
+            for k in _first_of_each_crossing(i, sign, j)]
+
+
+def _first_of_each_crossing(i, sign, j):
+    """Positions of the first piercing of each crossing, for piercings
+    sorted by (i, sign, j): union-find over the neighbours (same sign, i and
+    j each within 1) that come earlier in that order."""
+    root = list(range(len(i)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    seen = {}
+    for k, key in enumerate(zip(sign.tolist(), i.tolist(), j.tolist())):
+        s, a, b = key
+        for near in ((s, a - 1, b - 1), (s, a - 1, b), (s, a - 1, b + 1), (s, a, b - 1)):
+            other = seen.get(near)
+            if other is not None:
+                r, q = find(other), find(k)
+                root[max(r, q)] = min(r, q)
+        seen[key] = k
+    return [k for k in range(len(i)) if find(k) == k]
 
 
 def _pierce_pending(hits, pending, a, b, normals, nlen):

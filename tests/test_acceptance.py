@@ -17,7 +17,7 @@ from spinhodo.cli import closure_search, run_preset
 from spinhodo.elliptic import jacobi_sncndn
 from spinhodo.geometry import (adjoining_sphere_residual, angular_velocities,
                                count_torsion_sign_changes, curvature_rate,
-                               frenet_geometry, resonance_geometry)
+                               detect_loops, frenet_geometry, resonance_geometry)
 from spinhodo.integrator import integrate, resample_uniform
 from spinhodo.presets import PRESETS
 from spinhodo.qubit import (DampingParams, FieldParams, InitialAngles,
@@ -271,6 +271,24 @@ def test_torsion_sign_changes_match_closed_form(figure_reports):
         exact = count_torsion_sign_changes(torsion)
         assert exact == count_torsion_sign_changes(torsion, rel_band=0.0), name
         assert reports[name]["events"]["torsion_sign_changes"] == exact, name
+
+
+def test_loop_count_matches_closed_form(figure_reports):
+    # a crossing counts once however the samples fall around it: fig6's
+    # closed form crosses itself at chord vertices, where the raw piercings
+    # read 40 against the integrated run's 10.  fig7 has no closed form.
+    reports, _ = figure_reports
+    for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10"):
+        preset = PRESETS[name]
+        fp = preset.fieldp
+        t = np.linspace(0.0, preset.duration, preset.n_output)
+        if preset.system == "qubit":
+            y = analytic_rabi_general(t, preset.init, fp.h1, fp.H, fp.omega)
+        else:
+            y = analytic_qutrit_resonance(t, fp.h1, preset.aniso.Q, fp.omega)
+        p = y[:, :3] / np.linalg.norm(y[:, :3], axis=1)[:, None]
+        report = reports[name] if name in reports else run_preset(name)
+        assert report["events"]["loop_count"] == len(detect_loops(t, p)), name
 
 
 # --------------------------------------------------------------- criterion 6

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinhodo import cli
 from spinhodo.geometry import (_POLE_RHO, LoopEvent, _unwrap_skipping,
@@ -366,7 +368,10 @@ def test_no_loops_on_slow_resonance():
 
 
 def _detect_loops_reference(times, p, max_segments=1500, guard=3):
-    """Brute-force loop detector: each chord against all later chords."""
+    """Brute-force loop detector: each chord against all later chords.
+
+    Returns the subsampled times and every piercing as (i, sign index, j),
+    sign index 0 for +x and 1 for -x, in that lexicographic order."""
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
     n = len(p)
@@ -405,15 +410,37 @@ def _detect_loops_reference(times, p, max_segments=1500, guard=3):
         x = line[good] / llen[good, None]
         n1 = normals[i] / nlen[i]
         n2 = normals[js] / nlen[js, None]
-        for sign in (1.0, -1.0):
+        for s, sign in enumerate((1.0, -1.0)):
             xs = sign * x
             in1 = (np.einsum("ij,j->i", np.cross(np.broadcast_to(a[i], xs.shape), xs), n1) >= -1e-12) \
                 & (np.einsum("ij,j->i", np.cross(xs, np.broadcast_to(b[i], xs.shape)), n1) >= -1e-12)
             in2 = (np.einsum("ij,ij->i", np.cross(a[js], xs), n2) >= -1e-12) \
                 & (np.einsum("ij,ij->i", np.cross(xs, b[js]), n2) >= -1e-12)
             for jj in np.flatnonzero(in1 & in2):
-                events.append(LoopEvent(float(tq[i]), float(tq[js[jj]])))
-    return events
+                events.append((i, s, int(js[jj])))
+    return tq, events
+
+
+def _merge_reference(piercings):
+    """The first piercing of each crossing, by flood fill: a crossing takes
+    in every piercing with the same sign whose chords are each within 1 of
+    one of its piercings'."""
+    left = list(piercings)
+    firsts = []
+    while left:
+        crossing = [left.pop(0)]
+        firsts.append(crossing[0])
+        for i, s, j in crossing:   # grows while it is walked
+            near = [e for e in left
+                    if e[1] == s and abs(e[0] - i) <= 1 and abs(e[2] - j) <= 1]
+            left = [e for e in left if e not in near]
+            crossing.extend(near)
+    return firsts
+
+
+def _crossings_reference(times, p, max_segments=1500, guard=3):
+    tq, piercings = _detect_loops_reference(times, p, max_segments, guard)
+    return [LoopEvent(float(tq[i]), float(tq[j])) for i, _, j in _merge_reference(piercings)]
 
 
 def degenerate_polyline():
@@ -456,7 +483,51 @@ def test_loops_match_brute_force(case):
     for max_segments, guard in ((1500, 3), (400, 0)):
         events = detect_loops(ts, p, max_segments, guard)
         assert events, "each case has self-intersections"
-        assert events == _detect_loops_reference(ts, p, max_segments, guard)
+        assert events == _crossings_reference(ts, p, max_segments, guard)
+
+
+def test_merge_counts_a_vertex_crossing_once():
+    # two great circles crossing at a vertex of each, samples 5 and 16: the
+    # two chords on each side of it pierce pairwise, and that is one event,
+    # named by its first piercing
+    s = np.linspace(-0.5, 0.5, 11)
+    one = np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=1)
+    two = np.stack([np.cos(s), np.zeros_like(s), np.sin(s)], axis=1)
+    p = np.concatenate([one, two[::-1]])
+    ts = np.arange(len(p), dtype=float)
+    _, piercings = _detect_loops_reference(ts, p)
+    assert piercings == [(4, 1, 15), (4, 1, 16), (5, 1, 15), (5, 1, 16)]
+    assert detect_loops(ts, p) == [LoopEvent(4.0, 15.0)]
+
+
+@st.composite
+def spherical_walks(draw):
+    """A random walk of great-circle steps, its lengths mixed from 1e-4 to 2
+    rad with some repeated samples, closed or open, and a segment budget
+    that subsamples it or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(8, 160))
+    x = rng.standard_normal(3)
+    points = [x / np.linalg.norm(x)]
+    for step in np.where(rng.random(n - 1) < 0.03, 0.0, 10.0 ** rng.uniform(-4.0, 0.3, n - 1)):
+        x = points[-1]
+        u = rng.standard_normal(3)
+        u -= (u @ x) * x
+        u /= np.linalg.norm(u)
+        points.append(math.cos(step) * x + math.sin(step) * u)
+    if draw(st.booleans()):
+        points.append(points[0])
+    p = np.array(points)
+    max_segments = max(1, (len(p) - 1) // draw(st.sampled_from([1, 2, 3])))
+    return np.linspace(0.0, 1.0, len(p)), p, max_segments
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=spherical_walks(), guard=st.sampled_from([0, 3]))
+def test_loops_match_brute_force_on_random_walks(walk, guard):
+    ts, p, max_segments = walk
+    assert detect_loops(ts, p, max_segments, guard) == \
+        _crossings_reference(ts, p, max_segments, guard)
 
 
 @pytest.mark.parametrize("polyline", [
