@@ -466,8 +466,8 @@ def detect_loops(times, p, max_segments=1500, guard=3):
             d = centre[cols] - strip_centre
             reach = radius[cols] + (strip_radius + _STRIP_PAD)
             cols = cols[np.einsum("ij,ij->i", d, d) <= reach * reach]
-            del d, reach
-        # the chord-ball test, with its threshold built in place
+        # the chord-ball test c_i.c_j >= 1 - reach^2/2 - _DOT_SLACK, with its
+        # threshold built in place: one (strip, columns) temporary, not three
         limit = r_rows[:, None] + radius[cols]
         limit *= limit
         limit *= -0.5
@@ -482,15 +482,14 @@ def detect_loops(times, p, max_segments=1500, guard=3):
             g = np.searchsorted(cols, rows[0] + m - guard)
             keep[:, g:] &= cols[g:] < rows[:, None] + (m - guard)
         ii, jj = np.nonzero(keep)
-        del keep
-        if ii.size:
-            pending.append((rows[ii], cols[jj]))
-            n_pending += ii.size
-        del ii, jj
-        if n_pending >= _BATCH:
-            _pierce_pending(hits, pending, a, b, normals, nlen)
-            n_pending = 0
-    _pierce_pending(hits, pending, a, b, normals, nlen)
+        pending.append((rows[ii], cols[jj]))
+        n_pending += ii.size
+        del keep, ii, jj   # freed before the predicate runs
+        if n_pending >= _BATCH or k + _STRIP >= n_rows:
+            i, j = (np.concatenate(x) for x in zip(*pending))
+            pending, n_pending = [], 0
+            hits += [_piercings(a, b, normals, nlen, i[s:s + _BATCH], j[s:s + _BATCH])
+                     for s in range(0, len(i), _BATCH)]
     if not hits:
         return []
     i, sign, j = np.concatenate(hits, axis=1)
@@ -522,20 +521,6 @@ def _first_of_each_crossing(i, sign, j):
                 root[max(r, q)] = min(r, q)
         seen[key] = k
     return [k for k in range(len(i)) if find(k) == k]
-
-
-def _pierce_pending(hits, pending, a, b, normals, nlen):
-    """Test the pending candidate pairs in batches of at most _BATCH pairs,
-    append the piercings to `hits` and empty `pending`."""
-    if not pending:
-        return
-    i = np.concatenate([pair[0] for pair in pending])
-    j = np.concatenate([pair[1] for pair in pending])
-    pending.clear()
-    for s in range(0, len(i), _BATCH):
-        found = _piercings(a, b, normals, nlen, i[s:s + _BATCH], j[s:s + _BATCH])
-        if found.shape[1]:
-            hits.append(found)
 
 
 def _chord_balls(a, b, nlen):
