@@ -510,6 +510,9 @@ def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
         y0 = InitialAngles(math.acos(1.0 / math.sqrt(3.0)), 0.0).bloch()
         scale = 1.0
     else:
+        if Q == 0.0:
+            raise ValueError("qutrit closure search needs a nonzero axial anisotropy Q: "
+                             "its common period is 4 pi x/|Q|")
         y0 = bloch8_from_density(initial_density_north())
         scale = math.sqrt(3.0)   # |q(T) - q(0)|/sqrt(3) is the Frobenius distance of rho(T), rho(0)
     rows = []
@@ -543,6 +546,28 @@ def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
 
 # ----------------------------------------------------------------- parsing
 
+def _positive_float(text):
+    """A finite number above zero; argparse names the flag in the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _count(text):
+    """An integer of at least 1; argparse names the flag in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="spinhodo",
                                  description="spin magnetic-resonance hodograph laboratory")
@@ -568,9 +593,9 @@ def _build_parser():
     s.add_argument("--d", type=float, default=0.0, help="transverse anisotropy")
     s.add_argument("--theta0", type=float, default=0.0)
     s.add_argument("--phi0", type=float, default=0.0)
-    s.add_argument("--periods", type=float, default=1.0,
+    s.add_argument("--periods", type=_positive_float, default=1.0,
                    help="duration in natural periods")
-    s.add_argument("--duration", type=float, default=None,
+    s.add_argument("--duration", type=_positive_float, default=None,
                    help="absolute duration (overrides --periods)")
     s.add_argument("--analytic", action="store_true",
                    help="compare against the closed-form solution")
@@ -578,8 +603,8 @@ def _build_parser():
 
     c = sub.add_parser("closure", help="closed-trajectory search")
     c.add_argument("--system", choices=["qubit", "qutrit"], required=True)
-    c.add_argument("--xmax", type=int, default=4)
-    c.add_argument("--ymax", type=int, default=4)
+    c.add_argument("--xmax", type=_count, default=4)
+    c.add_argument("--ymax", type=_count, default=4)
     c.add_argument("--omega", type=float, default=1.0)
     c.add_argument("--H", type=float, default=1.0)
     c.add_argument("--Q", type=float, default=1.0)

@@ -310,6 +310,38 @@ def test_closure_search_qutrit_infeasible_marked():
     assert good[(1, 2)]["residual"] < 1e-5
 
 
+def test_closure_search_qutrit_rejects_zero_anisotropy():
+    with pytest.raises(ValueError, match="axial anisotropy Q"):
+        closure_search("qutrit", 2, 2, Q=0.0)
+
+
+@pytest.mark.parametrize("flag", ["--xmax", "--ymax"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_main_closure_rejects_an_empty_grid(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", "--system", "qubit", "--omega", "0.3", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_main_closure_names_zero_anisotropy(capsys):
+    assert main(["closure", "--system", "qutrit", "--Q", "0"]) == 2
+    assert "axial anisotropy Q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--duration", "--periods"])
+@pytest.mark.parametrize("value", ["-5", "0", "nan", "inf", "-inf"])
+def test_main_simulate_rejects_a_bad_length(flag, value, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--system", "qubit", "--h", "0.5", f"{flag}={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv("SPINHODO_TOL", "1e-6")
     cfg = default_config()
