@@ -44,11 +44,12 @@ _SHORT_ARC = 1e-10        # |a x b| below this: the arc gets no bounding ball
 _BALL_PAD = 1e-9          # covers the 1e-12 predicate slack and rounding
 _DOT_SLACK = 1e-14        # rounding of the centre dot products
 # The chord-ball test keeps c_i.c_j >= 1 - reach^2/2 - _DOT_SLACK.  The centres
-# are unit to 2.2e-16, so it keeps |c_i - c_j|^2 <= reach^2 + 2 _DOT_SLACK
-# + 1.5e-15 at most, and |c_i - c_j| <= reach + sqrt(2.15e-14) = reach
-# + 1.5e-7.  With the triangle inequality through any strip chord i, a chord j
-# the test can keep lies within strip radius + r_j + 1.5e-7 of the strip
-# centre; 1e-6 also covers the rounding of that distance and its terms.
+# are unit to 2.2e-16, and the dot product and the threshold round by a few
+# 1e-16, so the test keeps |c_i - c_j|^2 <= reach^2 + 2 _DOT_SLACK + 2e-15 at
+# most, and |c_i - c_j| <= reach + sqrt(2.2e-14) = reach + 1.5e-7.  By the
+# triangle inequality through any strip chord i, a chord j the test can keep
+# lies within strip radius + r_j + 1.5e-7 of the strip centre; _STRIP_PAD
+# also covers the rounding of that distance and of its terms.
 _STRIP_PAD = 1e-6
 _CUSP_SPEED = 0.05        # a cusp's speed is below this share of the median speed
 _CUSP_CURVATURE = 50.0    # and its curvature above this multiple of the median
