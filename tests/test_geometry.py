@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhodo import cli
+from spinhodo import cli, geometry
 from spinhodo.geometry import (_POLE_RHO, LoopEvent, _unwrap_skipping,
                                adjoining_sphere_residual,
                                angular_velocities, count_torsion_sign_changes,
@@ -484,6 +484,17 @@ def test_loops_match_brute_force(case):
         events = detect_loops(ts, p, max_segments, guard)
         assert events, "each case has self-intersections"
         assert events == _crossings_reference(ts, p, max_segments, guard)
+
+
+@pytest.mark.parametrize("case", ["interfering", "closed"])
+def test_loops_do_not_depend_on_strip_and_batch_sizes(case, monkeypatch):
+    # 5-chord strips and 7-pair batches: a flush in nearly every strip, and
+    # batches that split one strip's candidates
+    ts, p = LOOP_CASES[case]()
+    expected = detect_loops(ts, p)
+    monkeypatch.setattr(geometry, "_STRIP", 5)
+    monkeypatch.setattr(geometry, "_BATCH", 7)
+    assert detect_loops(ts, p) == expected
 
 
 def test_merge_counts_a_vertex_crossing_once():
