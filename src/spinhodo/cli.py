@@ -35,6 +35,7 @@ from .qutrit import (AnisotropyParams, _populations, analytic_qutrit_resonance,
 __all__ = ["run_preset", "simulate", "closure_search", "main", "UnsupportedAnalytic"]
 
 _POINTS_PER_PERIOD = 2000   # output samples per natural period of a free run
+_MAX_SAMPLES = 1_000_001    # grid of a free run: 500 periods, about 0.4 GB in memory
 
 
 class UnsupportedAnalytic(ValueError):
@@ -421,6 +422,8 @@ def _run(system, fp, dp, init, ap, duration, n_out, preset=None, expected=None):
             "max_local_error": traj.max_error_estimate,
             "n_steps": traj.n_steps,
             "n_rejected": traj.n_rejected,
+            "rhs_evals": traj.rhs_evals,
+            "rhs_evals_per_sample": traj.rhs_evals / len(traj.times),
         },
         "observed": obs,
         "events": ev,
@@ -546,14 +549,44 @@ def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
 
 # ----------------------------------------------------------------- parsing
 
-def _positive_float(text):
-    """A finite number above zero; argparse names the flag in the error."""
+def _float(text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _finite_float(text):
+    """A finite number; argparse names the flag in the error."""
+    value = _float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text):
+    """A finite number above zero; argparse names the flag in the error."""
+    value = _float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _grid_size(periods):
+    """Output samples of a free run of `periods` natural periods."""
+    return int(_POINTS_PER_PERIOD * max(1.0, periods)) + 1
+
+
+def _periods(text):
+    """A positive, finite number of periods whose grid stays within
+    _MAX_SAMPLES; argparse names the flag in the error."""
+    value = _positive_float(text)
+    if _grid_size(value) > _MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"{text} periods ask for {_grid_size(value)} samples, over the cap of "
+            f"{_MAX_SAMPLES} ({(_MAX_SAMPLES - 1) // _POINTS_PER_PERIOD} periods); "
+            f"for a longer span give --duration, which samples "
+            f"{_grid_size(1.0)} points")
     return value
 
 
@@ -593,7 +626,7 @@ def _build_parser():
     s.add_argument("--d", type=float, default=0.0, help="transverse anisotropy")
     s.add_argument("--theta0", type=float, default=0.0)
     s.add_argument("--phi0", type=float, default=0.0)
-    s.add_argument("--periods", type=_positive_float, default=1.0,
+    s.add_argument("--periods", type=_periods, default=1.0,
                    help="duration in natural periods")
     s.add_argument("--duration", type=_positive_float, default=None,
                    help="absolute duration (overrides --periods)")
@@ -605,10 +638,10 @@ def _build_parser():
     c.add_argument("--system", choices=["qubit", "qutrit"], required=True)
     c.add_argument("--xmax", type=_count, default=4)
     c.add_argument("--ymax", type=_count, default=4)
-    c.add_argument("--omega", type=float, default=1.0)
-    c.add_argument("--H", type=float, default=1.0)
-    c.add_argument("--Q", type=float, default=1.0)
-    c.add_argument("--d", type=float, default=0.0)
+    c.add_argument("--omega", type=_finite_float, default=1.0)
+    c.add_argument("--H", type=_finite_float, default=1.0)
+    c.add_argument("--Q", type=_finite_float, default=1.0)
+    c.add_argument("--d", type=_finite_float, default=0.0)
     c.add_argument("--out", default=None)
     return ap
 
@@ -655,7 +688,7 @@ def main(argv=None):
             duration = args.duration
             if duration is None:
                 duration = args.periods * _natural_period(args, fp, ap_)
-            n_out = int(_POINTS_PER_PERIOD * max(1.0, args.periods)) + 1
+            n_out = _grid_size(args.periods)
             report = simulate(args.system, fp, duration, out_dir=args.out, dp=dp,
                               init=init, ap=ap_, n_out=n_out, analytic=args.analytic)
             if report["analytic_max_deviation"] is not None:

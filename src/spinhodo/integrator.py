@@ -14,6 +14,13 @@ coherence vector.  Two output modes are provided:
 * :func:`resample_uniform` - adaptive stepping clipped to land *exactly*
   on every output time (no interpolation), at one step per output time or
   more.
+
+A step holds y, its stages and y_new in one stack and scales one constant
+table [1 | A] by h, so each stage argument y + h (A[i, :i] @ k[:i]) is a
+single product of a row with the stack, and so are y_new, the error
+estimates and the extension's coefficients; numpy's overhead per call, not
+the arithmetic, sets the cost of a step on these small systems.  Each
+:class:`Trajectory` counts the right-hand-side evaluations of its solve.
 """
 
 import math
@@ -87,10 +94,23 @@ _E5[[0, *range(5, 12)]] = [0.01312004499419488, -1.2251564463762044, -0.49575894
                            0.08192320648511571, -0.022355307863886294]
 _E3 = _B.copy()
 _E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
-_WEIGHTS = np.array([_B, _E5, _E3])
-# (c_i, row i of A) of the stages a step evaluates, and of the extension's
-_STAGES = [(float(_C[i]), _A[i, :i]) for i in range(1, 12)]
-_EXTRA_STAGES = [(float(_C[i]), _A[i, :i]) for i in range(13, 16)]
+_NODES = _C.tolist()
+# A step keeps its stages in one stack s = (y, k_0, ..., k_15, y_new), shape
+# (18, dim).  Row i of h * _TABLE with column 0 set to 1 makes the argument of
+# stage i, y + h (A[i, :i] @ k[:i]), one product with s[:i + 1]; rows 16-17,
+# whose column 0 stays 0, give the two error estimates.  Stage 12's argument
+# is y_new, since row 12 of A holds the weights _B.
+_TABLE = np.zeros((18, 17))
+_TABLE[:16, 1:] = _A
+_TABLE[16:, 1:13] = [_E5, _E3]
+# the 8 coefficients of the continuous extension are (_CY + h _CK) @ s:
+# y, y_new - y, h k_0 - (y_new - y), 2 (y_new - y) - h (k_0 + k_12), h (_D @ k)
+_CY = np.zeros((8, 18))
+_CY[:4, [0, 17]] = [[1.0, 0.0], [-1.0, 1.0], [1.0, -1.0], [-2.0, 2.0]]
+_CK = np.zeros((8, 18))
+_CK[2, 1] = 1.0
+_CK[3, [1, 13]] = -1.0
+_CK[4:, 1:17] = _D
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -131,6 +151,7 @@ class Trajectory:
     max_error_estimate: float           # largest weighted local error accepted
     n_steps: int
     n_rejected: int
+    rhs_evals: int                      # right-hand-side evaluations of the solve
 
 
 def _rms(x):
@@ -171,19 +192,13 @@ def _initial_step(rhs, t0, y0, f0, direction, span, cfg):
     return min(100 * h0, h1)
 
 
-def _dense_coeffs(rhs, t, y_old, y_new, k, h):
-    """Coefficients of the 7th-order continuous extension of the step of
-    signed size h from (t, y_old); evaluates the extra stages 13-15 into k."""
-    for i, (c, a) in enumerate(_EXTRA_STAGES, start=13):
-        k[i] = rhs(t + c * h, y_old + h * (a @ k[:i]))
-    coeffs = np.empty((8,) + y_old.shape)
-    ydiff = y_new - y_old
-    coeffs[0] = y_old
-    coeffs[1] = ydiff
-    coeffs[2] = h * k[0] - ydiff
-    coeffs[3] = 2.0 * ydiff - h * (k[0] + k[12])
-    coeffs[4:] = h * (_D @ k)
-    return coeffs
+def _dense_coeffs(rhs, t, s, rows, h):
+    """Coefficients (8, dim) of the 7th-order continuous extension of the
+    step of signed size h from t, given its stack s and rows from
+    :func:`_step`; evaluates the extra stages 13-15 into s."""
+    for i in (13, 14, 15):
+        s[i + 1] = rhs(t + _NODES[i] * h, rows[i, :i + 1].dot(s[:i + 1]))
+    return (_CY + h * _CK).dot(s)
 
 
 def _dense_eval(coeffs, theta):
@@ -211,22 +226,24 @@ def _fill_dense(out, out_times, first, dense):
         out[r0:r1] = _dense_eval(coeffs[s].transpose(1, 0, 2), np.clip(theta, 0.0, 1.0)[:, None])
 
 
-def _step(rhs, t, y, f0, h, direction):
-    """One DOP853 step of signed size h*direction.
+def _step(rhs, t, y, f0, h):
+    """One DOP853 step of signed size h from (t, y), with f0 = rhs(t, y).
 
-    Returns y_new, the 5th- and 3rd-order error estimates stacked (2, dim),
-    and the stages k (16, dim): 0-11, then the FSAL stage 12 = rhs(t+h,
-    y_new); rows 13-15 are left for the continuous extension.
+    Returns the stack s (18, dim): y, the stages k_0-k_11, the FSAL stage
+    k_12 = rhs(t + h, y_new), three rows left for the continuous extension
+    and y_new; the rows h * _TABLE it was built with; and the 5th- and
+    3rd-order error estimates stacked (2, dim).
     """
-    hs = h * direction
-    k = np.empty((16,) + y.shape)
-    k[0] = f0
-    for i, (c, a) in enumerate(_STAGES, start=1):
-        k[i] = rhs(t + c * hs, y + hs * (a @ k[:i]))
-    w = _WEIGHTS @ k[:12]
-    y_new = y + hs * w[0]
-    k[12] = rhs(t + hs, y_new)
-    return y_new, hs * w[1:], k
+    rows = h * _TABLE
+    rows[:16, 0] = 1.0
+    s = np.empty((18,) + y.shape)
+    s[0] = y
+    s[1] = f0
+    for i in range(1, 12):
+        s[i + 1] = rhs(t + _NODES[i] * h, rows[i, :i + 1].dot(s[:i + 1]))
+    s[17] = rows[12, :13].dot(s[:13])
+    s[13] = rhs(t + h, s[17])
+    return s, rows, rows[16:, :13].dot(s[:13])
 
 
 def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
@@ -254,6 +271,7 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
     dense = []
 
     h = min(_initial_step(rhs, t0, y, f0, direction, span, cfg), span)
+    rhs_evals = 2   # f0, and the trial stage of _initial_step
     max_err = 0.0
     err_prev = 1.0
     n_steps = 0
@@ -270,7 +288,10 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
             if gap > slack:
                 h_try = min(h_try, gap)
 
-        y_new, err, k = _step(rhs, t, y, f0, h_try, direction)
+        hs = h_try * direction
+        s, rows, err = _step(rhs, t, y, f0, hs)
+        rhs_evals += 12
+        y_new = s[17]
         errn = _error_norm(err, y, y_new, cfg)
         if not errn <= 1.0:  # also catches NaN, which compares False
             if not np.isfinite(errn):
@@ -280,10 +301,10 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
             continue
         # the error estimates give the FSAL stage no weight, yet it starts the
         # next step and enters the continuous extension
-        if not np.isfinite(k[12]).all():
+        if not np.isfinite(s[13]).all():
             raise IntegrationError("non-finite derivative at the end of a step", t)
 
-        t_new = t + h_try * direction
+        t_new = t + hs
         n_steps += 1
         max_err = max(max_err, errn)
 
@@ -295,8 +316,8 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
             reach = t_new * direction + slack
             if next_out < len(out_times) and ahead[next_out] <= reach:
                 end = int(np.searchsorted(ahead, reach, side="right"))
-                hs = h_try * direction
-                dense.append((t, hs, _dense_coeffs(rhs, t, y, y_new, k, hs), end))
+                dense.append((t, hs, _dense_coeffs(rhs, t, s, rows, hs), end))
+                rhs_evals += 3
                 next_out = end
                 if len(dense) == _FILL_STEPS:
                     _fill_dense(out, out_times, first_dense, dense)
@@ -307,13 +328,13 @@ def _run(rhs, y0, t_span, cfg, out_times, exact_landing):
         factor = _SAFETY * errn ** (-_PI_ALPHA) * err_prev ** _PI_BETA
         h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = errn
-        t, y, f0 = t_new, y_new, k[12]
+        t, y, f0 = t_new, y_new, s[13]
 
     if dense:
         _fill_dense(out, out_times, first_dense, dense)
     out[next_out:] = y   # final point, guards float slack
 
-    return out, max_err, n_steps, n_rejected
+    return Trajectory(out_times, out, max_err, n_steps, n_rejected, rhs_evals)
 
 
 def integrate(rhs, y0, t_span, cfg=None, *, n_out):
@@ -327,8 +348,7 @@ def integrate(rhs, y0, t_span, cfg=None, *, n_out):
     if n_out < 2:
         raise ValueError("need at least 2 output points")
     times = np.linspace(t_span[0], t_span[1], n_out)
-    out, max_err, n_steps, n_rej = _run(rhs, y0, t_span, cfg, times, exact_landing=False)
-    return Trajectory(times, out, max_err, n_steps, n_rej)
+    return _run(rhs, y0, t_span, cfg, times, exact_landing=False)
 
 
 def resample_uniform(rhs, n, y0, t_span, cfg=None):
@@ -342,5 +362,4 @@ def resample_uniform(rhs, n, y0, t_span, cfg=None):
     if n < 7:
         raise ValueError("uniform resampling needs at least 7 points")
     times = np.linspace(t_span[0], t_span[1], n)
-    out, max_err, n_steps, n_rej = _run(rhs, y0, t_span, cfg, times, exact_landing=True)
-    return Trajectory(times, out, max_err, n_steps, n_rej)
+    return _run(rhs, y0, t_span, cfg, times, exact_landing=True)

@@ -151,10 +151,13 @@ def make_bloch_rhs(fp, dp):
     def rhs(t, R):
         sn, cn, dn = drive(w * t)
         h1, h2, h3 = a1 * cn, a2 * sn, H * dn
+        # Python floats: the same arithmetic as on numpy scalars, without
+        # their per-element indexing and dispatch
+        x, y, z = R.tolist()
         return np.array([
-            h2 * R[2] - h3 * R[1] - g2 * R[0],
-            h3 * R[0] - h1 * R[2] - g2 * R[1],
-            h1 * R[1] - h2 * R[0] - g1 * (R[2] - req),
+            h2 * z - h3 * y - g2 * x,
+            h3 * x - h1 * z - g2 * y,
+            h1 * y - h2 * x - g1 * (z - req),
         ])
     return rhs
 

@@ -342,6 +342,53 @@ def test_main_simulate_rejects_a_bad_length(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_simulate_caps_the_sample_count(tmp_path, capsys):
+    # 1e9 periods asked numpy for 2e12 + 1 samples and died with a MemoryError
+    out = tmp_path / "run"
+    assert cli._grid_size(500.0) == cli._MAX_SAMPLES
+    for periods in ("1e9", "500.0005"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--system", "qubit", "--periods", periods, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --periods: " in err and "over the cap of 1000001" in err
+        assert "--duration" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--omega", "--H", "--Q", "--d"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_main_closure_rejects_a_non_finite_value(flag, value, capsys):
+    # --H inf made every pair infeasible with exit 0, and --d nan was
+    # reported as h1
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", "--system", "qutrit" if flag in ("--Q", "--d") else "qubit",
+              f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be finite, got {value}" in captured.err
+    assert captured.out == ""
+
+
+def test_report_counts_rhs_evaluations(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_make_bloch_rhs(fp, dp):
+        rhs = make_bloch_rhs(fp, dp)
+
+        def counted(t, R):
+            calls.append(t)
+            return rhs(t, R)
+        return counted
+
+    monkeypatch.setattr(cli, "make_bloch_rhs", counting_make_bloch_rhs)
+    report = simulate("qubit", FieldParams.elliptic(0.5, 0.3, 0.3, 0.6), 40.0,
+                      dp=DampingParams(0.02, 0.05, 0.1), n_out=1001)
+    integ = report["integrator"]
+    assert integ["rhs_evals"] == len(calls) > 0
+    assert integ["rhs_evals_per_sample"] == len(calls) / report["n_samples"]
+
+
 def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv("SPINHODO_TOL", "1e-6")
     cfg = default_config()

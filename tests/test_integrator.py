@@ -13,6 +13,8 @@ from spinhodo.integrator import (_A, _B, _C, _D, _E3, _E5, _FILL_BLOCK_ROWS,
                                  _PI_BETA, _SAFETY, IntegrationError, IntegratorConfig,
                                  _dense_coeffs, _dense_eval, _error_norm,
                                  _initial_step, _step, integrate, resample_uniform)
+from spinhodo.qubit import DampingParams, FieldParams, make_bloch_rhs
+from spinhodo.qutrit import AnisotropyParams, make_qutrit_rhs_real
 
 
 def decay_rhs(t, y):
@@ -53,10 +55,55 @@ def test_coefficients_equal_scipy_dop853_table():
 def test_dense_extension_meets_the_step_ends():
     t, h = 0.3, 0.4
     y = np.array([0.0, 0.6, 0.8])
-    y_new, _, k = _step(precession_rhs, t, y, precession_rhs(t, y), h, 1.0)
-    coeffs = _dense_coeffs(precession_rhs, t, y, y_new, k, h)
+    s, rows, _ = _step(precession_rhs, t, y, precession_rhs(t, y), h)
+    coeffs = _dense_coeffs(precession_rhs, t, s, rows, h)
     assert np.array_equal(_dense_eval(coeffs, 0.0), y)
-    assert np.allclose(_dense_eval(coeffs, 1.0), y_new, rtol=0.0, atol=1e-15)
+    assert np.allclose(_dense_eval(coeffs, 1.0), s[17], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("system", ["qubit", "qutrit"])
+def test_stage_products_match_the_textbook_form(system):
+    # each stage argument is one product of the rows h [1 | A] with the stack
+    # (y, k_0, ...), and the extension's coefficients one product with
+    # (y, k, y_new); both only reorder the rounding of the textbook forms,
+    # so they agree to 1e-15 of the largest term that enters the sum
+    fp = FieldParams.elliptic(0.7, 0.3, 0.9, 0.6)
+    if system == "qubit":
+        rhs, dim = make_bloch_rhs(fp, DampingParams(0.1, 0.2, 0.3)), 3
+    else:
+        rhs, dim = make_qutrit_rhs_real(fp, AnisotropyParams(1.0, 0.3)), 8
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        t = rng.uniform(-50.0, 50.0)
+        h = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.5)
+        y = rng.normal(size=dim)
+        calls = []
+
+        def recording_rhs(t_, y_):
+            calls.append((t_, y_.copy()))
+            return rhs(t_, y_)
+
+        s, rows, err = _step(recording_rhs, t, y, rhs(t, y), h)
+        coeffs = _dense_coeffs(recording_rhs, t, s, rows, h)
+        assert np.array_equal(s[0], y)
+        k = s[1:17]
+        # stages 1-11, the FSAL stage 12 at y_new, the extension's 13-15
+        assert len(calls) == 15
+        for i, (t_i, arg) in enumerate(calls, start=1):
+            terms = np.vstack([y, h * _A[i, :i, None] * k[:i]])
+            assert t_i == t + _C[i] * h
+            assert np.max(np.abs(arg - (y + h * (_A[i, :i] @ k[:i])))) <= 1e-15 * np.max(np.abs(terms))
+        assert np.array_equal(calls[11][1], s[17])
+        for weights, estimate in zip([_E5, _E3], err):
+            terms = h * weights[:, None] * k[:12]
+            assert np.max(np.abs(estimate - h * (weights @ k[:12]))) <= 1e-15 * np.max(np.abs(terms))
+        y_new = s[17]
+        ydiff = y_new - y
+        textbook = [y, ydiff, h * k[0] - ydiff, 2.0 * ydiff - h * (k[0] + k[12]), *(h * (_D @ k))]
+        terms = [[y], [y, y_new], [y, y_new, h * k[0]], [y, y_new, h * k[0], h * k[12]],
+                 *(h * _D[:, :, None] * k)]
+        for c, ref, parts in zip(coeffs, textbook, terms):
+            assert np.max(np.abs(c - ref)) <= 1e-15 * np.max(np.abs(parts))
 
 
 def test_linear_decay():
@@ -212,7 +259,8 @@ def _integrate_per_step(rhs, y0, t_span, n_out, cfg=None):
         if abs(t1 - t) <= slack:
             break
         h_try = min(h, abs(t1 - t))
-        y_new, err, k = _step(rhs, t, y, f0, h_try, direction)
+        s, rows, err = _step(rhs, t, y, f0, h_try * direction)
+        y_new = s[17]
         errn = _error_norm(err, y, y_new, cfg)
         if not errn <= 1.0:
             n_rejected += 1
@@ -224,14 +272,14 @@ def _integrate_per_step(rhs, y0, t_span, n_out, cfg=None):
         end = int(np.searchsorted(ahead, t_new * direction + slack, side="right"))
         if end > next_out:
             theta = (out_times[next_out:end] - t) / (h_try * direction)
-            coeffs = _dense_coeffs(rhs, t, y, y_new, k, h_try * direction)
+            coeffs = _dense_coeffs(rhs, t, s, rows, h_try * direction)
             out[next_out:end] = _dense_eval(coeffs, np.clip(theta, 0.0, 1.0)[:, None])
             next_out = end
         errn = max(errn, 1e-10)
         factor = _SAFETY * errn ** (-_PI_ALPHA) * err_prev ** _PI_BETA
         h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         err_prev = errn
-        t, y, f0 = t_new, y_new, k[12]
+        t, y, f0 = t_new, y_new, s[13]
     guarded = n_out - next_out
     out[next_out:] = y
     return out, (max_err, n_steps, n_rejected), guarded
@@ -263,3 +311,32 @@ def test_batched_dense_fill_matches_per_step_reference(case, rhs, y0, t_span, n_
         assert traj.n_steps > 0 and guarded == 0
         exact = np.exp(-0.7 * (traj.times - t_span[0]))
         assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("case, rhs, y0, t_span, n_out", [
+    ("rejected steps", kicked_decay_rhs, [1.0], (0.0, 10.0), 3001),
+    ("fewer outputs than steps", precession_rhs, [0.0, 0.6, 0.8], (0.0, 30.0), 11),
+    ("backward span", precession_rhs, [0.0, 0.6, 0.8], (0.0, -30.0), 2001),
+])
+@pytest.mark.parametrize("solver", ["integrate", "resample_uniform"])
+def test_rhs_evals_count_every_call(solver, case, rhs, y0, t_span, n_out):
+    calls = []
+
+    def counting_rhs(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    if solver == "integrate":
+        traj = integrate(counting_rhs, np.array(y0), t_span, n_out=n_out)
+    else:
+        traj = resample_uniform(counting_rhs, n_out, np.array(y0), t_span)
+    assert traj.rhs_evals == len(calls)
+    # the start and the startup estimate, 12 per attempted step, and the 3
+    # extension stages per step that reaches the grid (dense output only)
+    extension = traj.rhs_evals - 2 - 12 * (traj.n_steps + traj.n_rejected)
+    if solver == "integrate":
+        assert extension % 3 == 0 and 0 < extension <= 3 * traj.n_steps
+    else:
+        assert extension == 0
+    if case == "rejected steps":
+        assert traj.n_rejected > 0

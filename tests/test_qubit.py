@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import ellipj
 
@@ -167,6 +169,29 @@ def test_make_bloch_rhs_matches_bloch_rhs():
         rhs = make_bloch_rhs(fp, dp)
         for t in (0.0, 1.3, 4.1):
             assert np.allclose(rhs(t, R), bloch_rhs(t, R, fp, dp), atol=1e-15)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(["circular", "linear", "elliptic"]), h=_finite(-2, 2),
+       H=_finite(-2, 2), omega=_finite(-2, 2),
+       k=st.one_of(st.just(0.0), _finite(0.01, 0.99), st.just(1.0)),
+       gamma1=_finite(0, 1), gamma2=_finite(0, 1), r_eq=_finite(-1, 1), t=_finite(-100, 100),
+       R=st.lists(_finite(-2, 2), min_size=3, max_size=3))
+def test_make_bloch_rhs_matches_bloch_rhs_over_random_inputs(mode, h, H, omega, k, gamma1,
+                                                             gamma2, r_eq, t, R):
+    if mode == "elliptic":
+        fp = FieldParams.elliptic(h, H, omega, k)
+    else:
+        fp = getattr(FieldParams, mode)(h, H, omega)
+    dp = DampingParams(gamma1, gamma2, r_eq)
+    R = np.array(R)
+    ref = bloch_rhs(t, R, fp, dp)
+    scale = (np.max(np.abs(field_at(t, fp))) + gamma1 + gamma2) * (np.max(np.abs(R)) + abs(r_eq))
+    assert np.max(np.abs(make_bloch_rhs(fp, dp)(t, R) - ref)) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("make_rhs, y", [
