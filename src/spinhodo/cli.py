@@ -5,6 +5,10 @@ Artifacts per run: trajectory.csv (state + per-sample diagnostics),
 geometry.csv (diagnostics only), report.json (observed ranges, events,
 caption comparison), plot.gp (gnuplot script over the CSVs).  All numbers
 are emitted with 17 significant digits; runs are fully deterministic.
+
+A resonant qubit drive (h1 = h2, H = omega != 0) is integrated in the
+co-rotating frame, where it is static, and every artifact is in the lab
+frame; report.json names the frame of the solve (`integrator.frame`).
 """
 
 import argparse
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .elliptic import complete_k
+from .elliptic import complete_k, sncndn_of
 from .geometry import (count_torsion_sign_changes, detect_cusps, detect_loops,
                        frenet_geometry)
 from .integrator import IntegratorConfig, integrate, resample_uniform
@@ -53,11 +57,12 @@ def default_config():
 
 # ----------------------------------------------------------------- running
 #
-# Both systems simulate into one record: the solve (`traj`), the equation
-# of motion `eom` it solved, as (drive, generator stack, constant term) for
-# eom_jets, the unit direction `p` drawn on the hodograph (that of the first
-# three state components in both systems), the drive `fields`, the state
-# and system-specific columns of trajectory.csv in file order, and the
+# Both systems simulate into one record: the solve (`traj`, its states in
+# the lab frame), the `frame` it was integrated in, the lab-frame equation
+# of motion `eom`, as (drive, generator stack, constant term) for eom_jets,
+# the unit direction `p` drawn on the hodograph (that of the first three
+# state components in both systems), the drive `fields`, the state and
+# system-specific columns of trajectory.csv in file order, and the
 # system-specific observed ranges in report order.
 
 def _range(x):
@@ -66,7 +71,18 @@ def _range(x):
 
 
 def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
-    traj = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, duration), cfg, n_out=n_out)
+    """A resonant drive with h1 = h2 and omega != 0 is solved in the
+    co-rotating frame of the qubit module, where it is the static
+    (h1, 0, 0), and the grid is turned back to the lab frame; every other
+    drive is solved in the lab frame."""
+    corotating = fp.h1 == fp.h2 and fp.H == fp.omega != 0.0
+    solved = FieldParams.circular(fp.h1, 0.0, 0.0) if corotating else fp
+    traj = integrate(make_bloch_rhs(solved, dp), init.bloch(), (0.0, duration), cfg,
+                     n_out=n_out)
+    if corotating:
+        sn, cn, _ = sncndn_of(fp.k)(fp.omega * traj.times)
+        u1, u2, u3 = traj.states.T
+        traj.states = np.stack([cn * u1 - sn * u2, sn * u1 + cn * u2, u3], axis=1)
     R = traj.states
     lengths = np.linalg.norm(R, axis=1)
     if np.min(lengths) < 1e-12:
@@ -74,7 +90,8 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
     fields = field_at(traj.times, fp)
     flip = (1.0 - R[:, 2]) / 2.0
     return {
-        "traj": traj, "p": R / lengths[:, None], "fields": fields,
+        "traj": traj, "frame": "corotating" if corotating else "lab",
+        "p": R / lengths[:, None], "fields": fields,
         "eom": (fp, *bloch_generators(fp, dp)),
         "state_columns": {f"R{i + 1}": R[:, i] for i in range(3)},
         "extra_columns": {"P": flip, "E": qubit_energy(R, fields)},
@@ -99,7 +116,7 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
     pops = dict(zip(("p_plus", "p_zero", "p_minus"), _populations(qs[:, 2], qs[:, 5])))
     fields = field_at(traj.times, fp)
     return {
-        "traj": traj, "p": p, "fields": fields,
+        "traj": traj, "frame": "lab", "p": p, "fields": fields,
         "eom": (fp, *qutrit_generators(fp, ap)),
         "state_columns": {f"q{i + 1}": qs[:, i] for i in range(8)},
         "extra_columns": {"P_plus": pops["p_plus"], "P_zero": pops["p_zero"],
@@ -418,6 +435,7 @@ def _run(system, fp, dp, init, ap, duration, n_out, preset=None, expected=None):
         "duration": duration,
         "n_samples": len(traj.times),
         "integrator": {
+            "frame": sim["frame"],
             "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
             "max_local_error": traj.max_error_estimate,
             "n_steps": traj.n_steps,
@@ -601,6 +619,22 @@ def _count(text):
     return value
 
 
+# the number flags of `simulate`: (flag, default, help)
+_SIMULATE_NUMBERS = [
+    ("--h", 0.5, "transverse amplitude"),
+    ("--H", 0.0, "longitudinal amplitude"),
+    ("--omega", 1.0, "drive frequency"),
+    ("--modulus", 0.0, "elliptic modulus k"),
+    ("--gamma1", 0.0, "longitudinal relaxation rate"),
+    ("--gamma2", 0.0, "transverse relaxation rate"),
+    ("--req", 0.0, "equilibrium population difference"),
+    ("--Q", 0.0, "axial anisotropy"),
+    ("--d", 0.0, "transverse anisotropy"),
+    ("--theta0", 0.0, "initial polar angle"),
+    ("--phi0", 0.0, "initial azimuth"),
+]
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="spinhodo",
                                  description="spin magnetic-resonance hodograph laboratory")
@@ -615,17 +649,8 @@ def _build_parser():
     s.add_argument("--system", choices=["qubit", "qutrit"], required=True)
     s.add_argument("--mode", choices=["circular", "linear", "elliptic"],
                    default="circular")
-    s.add_argument("--h", type=float, default=0.5, help="transverse amplitude")
-    s.add_argument("--H", type=float, default=0.0, help="longitudinal amplitude")
-    s.add_argument("--omega", type=float, default=1.0, help="drive frequency")
-    s.add_argument("--modulus", type=float, default=0.0, help="elliptic modulus k")
-    s.add_argument("--gamma1", type=float, default=0.0)
-    s.add_argument("--gamma2", type=float, default=0.0)
-    s.add_argument("--req", type=float, default=0.0, help="equilibrium population difference")
-    s.add_argument("--Q", type=float, default=0.0, help="axial anisotropy")
-    s.add_argument("--d", type=float, default=0.0, help="transverse anisotropy")
-    s.add_argument("--theta0", type=float, default=0.0)
-    s.add_argument("--phi0", type=float, default=0.0)
+    for flag, default, text in _SIMULATE_NUMBERS:
+        s.add_argument(flag, type=_finite_float, default=default, help=text)
     s.add_argument("--periods", type=_periods, default=1.0,
                    help="duration in natural periods")
     s.add_argument("--duration", type=_positive_float, default=None,
@@ -648,7 +673,11 @@ def _build_parser():
 
 def _natural_period(args, fp, ap):
     if args.system == "qubit":
-        if fp.mode is FieldMode.ELLIPTIC and fp.k > 0.0:
+        # at omega = 0 every mode is the static field (h, 0, H)
+        if fp.mode is FieldMode.ELLIPTIC and fp.k > 0.0 and fp.omega != 0.0:
+            if fp.k == 1.0:
+                raise ValueError("--modulus 1 drives one hyperbolic impulse, which has "
+                                 "no period: give --duration")
             return 4.0 * complete_k(fp.k) / abs(fp.omega)
         h = args.h
         if fp.mode is FieldMode.LINEAR and fp.omega != 0.0:
@@ -685,10 +714,11 @@ def main(argv=None):
             dp = DampingParams(args.gamma1, args.gamma2, args.req)
             ap_ = AnisotropyParams(args.Q, args.d)
             init = InitialAngles(args.theta0, args.phi0)
-            duration = args.duration
+            # a --duration run gets one period's grid, whatever --periods says
+            duration, n_out = args.duration, _grid_size(1.0)
             if duration is None:
                 duration = args.periods * _natural_period(args, fp, ap_)
-            n_out = _grid_size(args.periods)
+                n_out = _grid_size(args.periods)
             report = simulate(args.system, fp, duration, out_dir=args.out, dp=dp,
                               init=init, ap=ap_, n_out=n_out, analytic=args.analytic)
             if report["analytic_max_deviation"] is not None:

@@ -180,6 +180,10 @@ def _initial_step(rhs, t0, y0, f0, direction, span, cfg):
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
+    if math.isinf(d1):
+        # the squares overflow: h0 would be 0 and the trial step divides by it
+        raise IntegrationError("the weighted norm of the initial derivative overflows; "
+                               "the rates are too large for the tolerances", t0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * direction * f0

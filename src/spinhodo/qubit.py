@@ -13,6 +13,14 @@ with the drive
 which sweeps from a circularly polarized field (k=0, h1=h2) to hyperbolic
 impulses (k=1).  The longitudinal modulation runs at twice the transverse
 rate, hence "consistent" modulation.
+
+Co-rotating frame.  With h1 = h2 = h, write R = Rz(phi) u with
+phi = am(wt|k), so cos phi = cn, sin phi = sn and phi' = w dn.  Then u obeys
+the same equation in the field (h, 0, (H - w) dn), since the damping
+diag(gamma2, gamma2, gamma1) and the constant term (0, 0, gamma1 r_eq)
+commute with Rz (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167, 1954).
+At resonance, H = w, that field is the static (h, 0, 0) for every modulus,
+damping and initial state, and R = (cn u1 - sn u2, sn u1 + cn u2, u3).
 """
 
 import math
@@ -144,12 +152,18 @@ def field_at(t, fp):
 
 def make_bloch_rhs(fp, dp):
     """Right-hand side rhs(t, R) of the coherence-vector equation (3-array),
-    for the integrator hot loop."""
+    for the integrator hot loop.
+
+    A drive at omega = 0 is static: its (sn, cn, dn) is the (0, 1, 1) that
+    the drive returns at argument 0 for every modulus, so no call evaluates
+    it.  That is also the resonant drive in the co-rotating frame.
+    """
     drive, w, a1, a2, H = sncndn_of(fp.k), fp.omega, fp.h1, fp.h2, fp.H
     g1, g2, req = dp.gamma1, dp.gamma2, dp.r_eq
+    static = (0.0, 1.0, 1.0) if w == 0.0 else None
 
     def rhs(t, R):
-        sn, cn, dn = drive(w * t)
+        sn, cn, dn = static or drive(w * t)
         h1, h2, h3 = a1 * cn, a2 * sn, H * dn
         # Python floats: the same arithmetic as on numpy scalars, without
         # their per-element indexing and dispatch

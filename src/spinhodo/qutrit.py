@@ -114,10 +114,14 @@ def make_qutrit_rhs_real(fp, ap):
 
     M(t) = h1(t) G1 + h2(t) G2 + h3(t) G3 + Q G_Q + d G_D; each call weights
     the stack of :func:`qutrit_generators` by (1, cn, sn, dn) of the drive
-    and applies the result to q.
+    and applies the result to q.  A drive at omega = 0 is static, with
+    (sn, cn, dn) = (0, 1, 1) for every modulus, so M is built once.
     """
     gens = qutrit_generators(fp, ap)[0].reshape(4, 64)
     drive, w = sncndn_of(fp.k), fp.omega
+    if w == 0.0:
+        M = (np.array((1.0, 1.0, 0.0, 1.0)) @ gens).reshape(8, 8)
+        return lambda t, q: M @ q
 
     def rhs(t, q):
         sn, cn, dn = drive(w * t)

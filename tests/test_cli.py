@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinhodo
@@ -487,3 +487,104 @@ def test_main_elliptic_natural_period(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["duration"] == pytest.approx(4.0 * complete_k(0.6), rel=1e-15)
+
+
+# ------------------------------------------------------------------ frame
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=_finite(-2, 2), omega=st.one_of(_finite(-2, -0.05), _finite(0.05, 2)),
+       k=_finite(0, 1), circular=st.booleans(), gamma1=_finite(0, 0.5),
+       gamma2=_finite(0, 0.5), r_eq=_finite(-1, 1), theta0=_finite(0, math.pi),
+       phi0=_finite(-7, 7))
+def test_corotating_solve_matches_the_lab_frame(h, omega, k, circular, gamma1, gamma2,
+                                                r_eq, theta0, phi0):
+    # at resonance the drive is static in the frame turned by am(wt|k) about z,
+    # for any damping and start; the lab frame solves the same equation
+    assume(gamma1 != gamma2)
+    fp = (FieldParams.circular(h, omega, omega) if circular
+          else FieldParams.elliptic(h, omega, omega, k))
+    dp, init = DampingParams(gamma1, gamma2, r_eq), InitialAngles(theta0, phi0)
+    sim = cli._simulate_qubit(fp, dp, init, 10.0, default_config(), 201)
+    assert sim["frame"] == "corotating"
+    lab = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, 10.0), default_config(),
+                    n_out=201)
+    assert np.max(np.abs(sim["traj"].states - lab.states)) < 1e-8
+
+
+@pytest.mark.parametrize("fp, frame", [
+    (FieldParams.circular(0.5, 0.3, 0.3), "corotating"),
+    (FieldParams.elliptic(0.5, -0.3, -0.3, 1.0), "corotating"),
+    (FieldParams.elliptic(0.5, 0.3, 0.3, 0.6), "corotating"),
+    (FieldParams.circular(0.5, 0.3, 0.31), "lab"),         # detuned
+    (FieldParams.elliptic(0.5, 0.4, 0.3, 0.6), "lab"),
+    (FieldParams.linear(0.5, 0.3, 0.3), "lab"),            # h2 = 0: no co-rotating field
+    (FieldParams.circular(0.5, 0.0, 0.0), "lab"),          # static already
+], ids=["circular", "k1", "k0.6", "detuned", "detuned-k0.6", "linear", "static"])
+def test_report_names_the_frame_of_the_solve(fp, frame):
+    report = simulate("qubit", fp, 5.0, dp=DampingParams(0.02, 0.05, 0.1), n_out=101)
+    assert report["integrator"]["frame"] == frame
+
+
+def test_preset_reports_name_the_frame(fig5_run, fig8_run):
+    assert fig5_run[1]["integrator"]["frame"] == "corotating"
+    assert fig8_run[1]["integrator"]["frame"] == "lab"
+
+
+# ------------------------------------------------------- simulate's flags
+
+def _simulate_argv(out, *flags):
+    return ["simulate", "--system", "qubit", *flags, "--out", str(out)]
+
+
+def test_main_static_elliptic_drive_has_the_static_period(tmp_path):
+    # at omega = 0 the elliptic drive is the static (h, 0, H); its period was
+    # 4 K(k)/|omega|, a ZeroDivisionError
+    code = main(_simulate_argv(tmp_path, "--mode", "elliptic", "--modulus", "0.5",
+                               "--omega", "0", "--h", "0.5", "--H", "0.2"))
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["duration"] == 2.0 * math.pi / math.hypot(0.2, 0.5)
+
+
+def test_main_impulse_drive_asks_for_a_duration(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_simulate_argv(out, "--mode", "elliptic", "--modulus", "1")) == 2
+    err = capsys.readouterr().err
+    assert "--modulus" in err and "give --duration" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--system", "qubit", "--h", "1e200"],
+    ["--system", "qubit", "--gamma1", "1e300", "--duration", "10"],
+    ["--system", "qutrit", "--h", "1e200", "--Q", "1"],
+], ids=["h", "gamma1", "qutrit-h"])
+def test_main_rejects_rates_that_overflow_the_error_norm(argv, tmp_path, capsys):
+    # the startup step was 0 and the trial stage divided by it
+    with np.errstate(over="ignore"):
+        code = main(["simulate", *argv, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--h", "--H", "--omega", "--modulus", "--gamma1", "--gamma2",
+                                  "--req", "--Q", "--d", "--theta0", "--phi0"])
+def test_main_simulate_rejects_a_non_finite_number(flag, tmp_path, capsys):
+    # --h nan was reported as h1, the FieldParams field
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(_simulate_argv(tmp_path / "run", f"{flag}={value}"))
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_main_duration_run_gets_one_period_grid(tmp_path):
+    # n_out came from --periods even with --duration: 6,001 samples here
+    assert main(_simulate_argv(tmp_path, "--duration", "5", "--periods", "3")) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["duration"] == 5.0 and report["n_samples"] == 2001

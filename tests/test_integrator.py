@@ -197,6 +197,16 @@ def test_non_finite_fsal_stage_rejected():
     assert len(calls) == 14
 
 
+@pytest.mark.parametrize("rate", [1e200, 1e300])
+def test_overflowing_initial_derivative_rejected(rate):
+    # the weighted RMS of f0 squares f0/scale; at inf the startup step was 0,
+    # and the trial stage divided by it (ZeroDivisionError)
+    with np.errstate(over="ignore"):
+        with pytest.raises(IntegrationError, match="overflows.*t=0"):
+            integrate(lambda t, y: -rate * y, np.array([0.0, 0.0, 1.0]), (0.0, 10.0),
+                      n_out=11)
+
+
 @pytest.mark.parametrize("t1", [2.0, -2.0])
 def test_rhs_never_evaluated_past_the_span(t1):
     # a slow solution makes the startup estimate ask for a step of about 1e7;

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import ellipj
 
+from spinhodo import qubit as qubit_module
 from spinhodo.integrator import IntegratorConfig, integrate, resample_uniform
 from spinhodo.presets import PRESETS
 from spinhodo.qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
@@ -192,6 +193,30 @@ def test_make_bloch_rhs_matches_bloch_rhs_over_random_inputs(mode, h, H, omega, 
     ref = bloch_rhs(t, R, fp, dp)
     scale = (np.max(np.abs(field_at(t, fp))) + gamma1 + gamma2) * (np.max(np.abs(R)) + abs(r_eq))
     assert np.max(np.abs(make_bloch_rhs(fp, dp)(t, R) - ref)) <= 1e-15 * scale
+
+
+def _unevaluated_drive(k):
+    def drive(u):
+        raise AssertionError("the drive was evaluated")
+    return drive
+
+
+STATIC_DRIVES = [FieldParams.circular(0.7, 0.3, 0.0), FieldParams.linear(-0.4, 0.2, 0.0),
+                 FieldParams.elliptic(0.4, -0.3, 0.0, 0.6),
+                 FieldParams.elliptic(-0.4, 0.3, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("fp", STATIC_DRIVES, ids=["circular", "linear", "k0.6", "k1"])
+def test_static_drive_rhs_matches_bloch_rhs_without_evaluating_the_drive(fp, monkeypatch):
+    # at omega = 0 the drive is its value at argument 0, (sn, cn, dn) = (0, 1, 1)
+    dp = DampingParams(0.1, 0.25, 0.4)
+    with monkeypatch.context() as m:
+        m.setattr(qubit_module, "sncndn_of", _unevaluated_drive)
+        rhs = make_bloch_rhs(fp, dp)
+    rng = np.random.default_rng(3)
+    for t in (0.0, 1.3, 4.1, 1e6):
+        R = rng.uniform(-1.0, 1.0, 3)
+        assert np.max(np.abs(rhs(t, R) - bloch_rhs(t, R, fp, dp))) <= 1e-15
 
 
 @pytest.mark.parametrize("make_rhs, y", [
