@@ -16,7 +16,7 @@ from .integrator import IntegratorConfig, Trajectory, integrate, resample_unifor
 from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     analytic_elliptic_resonance, analytic_rabi_general,
                     bloch_generators, closed_trajectory_amplitude_qubit,
-                    eom_jets, field_at, make_bloch_rhs, qubit_energy)
+                    eom_jets, field_at, linear_rhs, make_bloch_rhs, qubit_energy)
 from .qutrit import (AnisotropyParams, analytic_qutrit_resonance,
                      bloch8_from_density, closed_trajectory_amplitude_qutrit,
                      evolve_density, populations, qutrit_generators,
@@ -27,7 +27,7 @@ __all__ = [
     "jacobi_sncndn", "complete_k", "incomplete_e",
     "IntegratorConfig", "Trajectory", "integrate", "resample_uniform",
     "FieldMode", "FieldParams", "DampingParams", "InitialAngles",
-    "field_at", "make_bloch_rhs", "bloch_generators", "eom_jets",
+    "field_at", "make_bloch_rhs", "bloch_generators", "linear_rhs", "eom_jets",
     "analytic_rabi_general", "analytic_elliptic_resonance",
     "qubit_energy", "closed_trajectory_amplitude_qubit",
     "AnisotropyParams", "qutrit_hamiltonian", "qutrit_generators",

@@ -178,8 +178,11 @@ def _initial_step(rhs, t0, y0, f0, direction, span, cfg):
     # Hairer-style startup estimate; the trial Euler step stays in the span,
     # so the rhs is never evaluated past its end
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    # an overflowing norm is inf, reported below or as a zero step by the
+    # step loop, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
     if math.isinf(d1):
         # the squares overflow: h0 would be 0 and the trial step divides by it
         raise IntegrationError("the weighted norm of the initial derivative overflows; "
@@ -188,7 +191,8 @@ def _initial_step(rhs, t0, y0, f0, direction, span, cfg):
     h0 = min(h0, span)
     y1 = y0 + h0 * direction * f0
     f1 = np.asarray(rhs(t0 + h0 * direction, y1), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
+    with np.errstate(over="ignore"):
+        d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -64,14 +64,6 @@ def _qubit_preset(name, theta0, phi0, omega, H, h, n_periods, expected, ppp=2000
                         points_per_period=ppp, n_periods=n_periods, expected=expected)
 
 
-def _resonance_preset(name, omega, h, expected, ppp=2000):
-    fp = FieldParams.circular(h, omega, omega)    # H = omega: exact resonance
-    duration = 2.0 * math.pi / h
-    return FigurePreset(name, "qubit", fp, duration,
-                        init=InitialAngles(0.0, math.pi / 4.0),
-                        points_per_period=ppp, n_periods=1.0, expected=expected)
-
-
 def _qutrit_preset(name, expected, ppp=2000):
     Q, h = 1.0, 3.0 / 8.0             # commensurate pair x=4, y=5
     f = math.hypot(2.0 * h, Q)
@@ -106,14 +98,14 @@ PRESETS = {p.name: p for p in [
         "flip_probability": (0.45, 1.0),
         "arc_length": 14.0,
     }, ppp=4000),
-    _resonance_preset("fig5", 0.2, 0.5, {
+    _qubit_preset("fig5", 0.0, math.pi / 4.0, 0.2, 0.2, 0.5, 1, {
         "flip_probability": (0.0, 1.0),
         "speed": (0.5, 0.54),
         "curvature": (1.0, 1.28),
         "torsion": (-0.64, 0.64),
         "arc_length": 6.53,
     }),
-    _resonance_preset("fig6", 5.0, 0.5, {
+    _qubit_preset("fig6", 0.0, math.pi / 4.0, 5.0, 5.0, 0.5, 1, {
         "flip_probability": (0.0, 1.0),
         "speed": (0.47, 5.02),
         "curvature": (1.0, 20.0),

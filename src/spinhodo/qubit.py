@@ -14,6 +14,11 @@ which sweeps from a circularly polarized field (k=0, h1=h2) to hyperbolic
 impulses (k=1).  The longitudinal modulation runs at twice the transverse
 rate, hence "consistent" modulation.
 
+One equation for both systems: the qubit and the qutrit are each
+y' = M(t) y + b, with M(t) a fixed stack of generators weighted by
+(1, cn, sn, dn) of the drive.  linear_rhs evaluates it for the integrator,
+and eom_jets differentiates it.
+
 Co-rotating frame.  With h1 = h2 = h, write R = Rz(phi) u with
 phi = am(wt|k), so cos phi = cn, sin phi = sn and phi' = w dn.  Then u obeys
 the same equation in the field (h, 0, (H - w) dn), since the damping
@@ -33,7 +38,7 @@ from .elliptic import sncndn_of
 
 __all__ = [
     "FieldMode", "FieldParams", "DampingParams", "InitialAngles",
-    "field_at", "make_bloch_rhs", "bloch_generators", "eom_jets",
+    "field_at", "make_bloch_rhs", "bloch_generators", "linear_rhs", "eom_jets",
     "analytic_rabi_general", "analytic_elliptic_resonance", "qubit_energy",
     "closed_trajectory_amplitude_qubit",
 ]
@@ -150,32 +155,6 @@ def field_at(t, fp):
     return h
 
 
-def make_bloch_rhs(fp, dp):
-    """Right-hand side rhs(t, R) of the coherence-vector equation (3-array),
-    for the integrator hot loop.
-
-    A drive at omega = 0 is static: its (sn, cn, dn) is the (0, 1, 1) that
-    the drive returns at argument 0 for every modulus, so no call evaluates
-    it.  That is also the resonant drive in the co-rotating frame.
-    """
-    drive, w, a1, a2, H = sncndn_of(fp.k), fp.omega, fp.h1, fp.h2, fp.H
-    g1, g2, req = dp.gamma1, dp.gamma2, dp.r_eq
-    static = (0.0, 1.0, 1.0) if w == 0.0 else None
-
-    def rhs(t, R):
-        sn, cn, dn = static or drive(w * t)
-        h1, h2, h3 = a1 * cn, a2 * sn, H * dn
-        # Python floats: the same arithmetic as on numpy scalars, without
-        # their per-element indexing and dispatch
-        x, y, z = R.tolist()
-        return np.array([
-            h2 * z - h3 * y - g2 * x,
-            h3 * x - h1 * z - g2 * y,
-            h1 * y - h2 * x - g1 * (z - req),
-        ])
-    return rhs
-
-
 def bloch_generators(fp, dp):
     """The coherence-vector equation as R' = M(t) R + b, for :func:`eom_jets`.
 
@@ -190,6 +169,43 @@ def bloch_generators(fp, dp):
     G[2, 0, 2], G[2, 2, 0] = fp.h2, -fp.h2
     G[3, 1, 0], G[3, 0, 1] = fp.H, -fp.H
     return G, np.array([0.0, 0.0, dp.gamma1 * dp.r_eq])
+
+
+def make_bloch_rhs(fp, dp):
+    """Right-hand side rhs(t, R) of the coherence-vector equation (3-array):
+    :func:`linear_rhs` over the stack of :func:`bloch_generators`."""
+    return linear_rhs(fp, *bloch_generators(fp, dp))
+
+
+def linear_rhs(fp, G, b):
+    """Right-hand side rhs(t, y) = M(t) y + b of the system of
+    :func:`eom_jets`, for the integrator hot loop.
+
+    M(t) = sum_i w_i G_i over the stack G of shape (4, dim, dim), with
+    w = (1, cn, sn, dn) of the drive fp at omega t; as in eom_jets, each call
+    weighs the generators applied to y.  b, shape (dim,), is added only when
+    it has a nonzero entry.  A drive at omega = 0 is static: its (sn, cn, dn)
+    is the (0, 1, 1) that the drive returns at argument 0 for every modulus,
+    so M is built once and no call evaluates the drive.  That is also the
+    resonant qubit drive in the co-rotating frame.
+    """
+    G = np.asarray(G, dtype=float)
+    if fp.omega == 0.0:
+        M = np.dot((1.0, 1.0, 0.0, 1.0), G.reshape(4, -1)).reshape(G.shape[1:])
+
+        def rhs(t, y):
+            return np.dot(M, y)
+    else:
+        drive, w = sncndn_of(fp.k), fp.omega
+
+        def rhs(t, y):
+            sn, cn, dn = drive(w * t)
+            return np.dot((1.0, cn, sn, dn), np.dot(G, y))
+
+    if not np.any(b):
+        return rhs
+    b = np.array(b, dtype=float)
+    return lambda t, y: rhs(t, y) + b
 
 
 _JET_BLOCK_ROWS = 256   # samples per block of eom_jets; bounds the temporaries

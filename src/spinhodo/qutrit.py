@@ -13,6 +13,7 @@ In this basis the Liouville equation rho' = -i[H, rho] is the real linear
 system q' = M(t) q.  Every term of H is a constant operator times a scalar,
 so M(t) is the same combination of fixed 8x8 generators, built once at
 import; each generator is antisymmetric, which conserves |q|.
+make_qutrit_rhs_real is the qubit module's linear_rhs over that stack.
 """
 
 import math
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import sncndn_of
 from .integrator import integrate
-from .qubit import field_at
+from .qubit import field_at, linear_rhs
 
 __all__ = [
     "S1", "S2", "S3", "LAMBDA8", "AnisotropyParams",
@@ -110,24 +110,10 @@ def qutrit_generators(fp, ap):
 
 
 def make_qutrit_rhs_real(fp, ap):
-    """Coherence-vector form q' = M(t) q of the unitary evolution (dim 8).
-
-    M(t) = h1(t) G1 + h2(t) G2 + h3(t) G3 + Q G_Q + d G_D; each call weights
-    the stack of :func:`qutrit_generators` by (1, cn, sn, dn) of the drive
-    and applies the result to q.  A drive at omega = 0 is static, with
-    (sn, cn, dn) = (0, 1, 1) for every modulus, so M is built once.
-    """
-    gens = qutrit_generators(fp, ap)[0].reshape(4, 64)
-    drive, w = sncndn_of(fp.k), fp.omega
-    if w == 0.0:
-        M = (np.array((1.0, 1.0, 0.0, 1.0)) @ gens).reshape(8, 8)
-        return lambda t, q: M @ q
-
-    def rhs(t, q):
-        sn, cn, dn = drive(w * t)
-        return (np.array((1.0, cn, sn, dn)) @ gens).reshape(8, 8) @ q
-
-    return rhs
+    """Right-hand side rhs(t, q) of the unitary evolution q' = M(t) q (dim 8):
+    :func:`~spinhodo.qubit.linear_rhs` over the stack of
+    :func:`qutrit_generators`."""
+    return linear_rhs(fp, *qutrit_generators(fp, ap))
 
 
 def qutrit_energy(q, fields, ap):

@@ -1,9 +1,10 @@
 """Independent right-hand sides of both systems, written from the equations
 of motion as printed, not from the generator stacks.
 
-The package integrates and differentiates through `make_bloch_rhs`,
-`make_qutrit_rhs_real` and the stacks of `bloch_generators` /
-`qutrit_generators`; the tests compare those against these oracles.
+The package integrates and differentiates both systems through the stacks
+of `bloch_generators` / `qutrit_generators`: `make_bloch_rhs` and
+`make_qutrit_rhs_real` are `linear_rhs` over them, and `eom_jets` takes
+their derivatives.  The tests compare those against these oracles.
 """
 
 import numpy as np

@@ -558,17 +558,22 @@ def test_main_impulse_drive_asks_for_a_duration(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--system", "qubit", "--h", "1e200"],
-    ["--system", "qubit", "--gamma1", "1e300", "--duration", "10"],
-    ["--system", "qutrit", "--h", "1e200", "--Q", "1"],
-], ids=["h", "gamma1", "qutrit-h"])
-def test_main_rejects_rates_that_overflow_the_error_norm(argv, tmp_path, capsys):
-    # the startup step was 0 and the trial stage divided by it
-    with np.errstate(over="ignore"):
-        code = main(["simulate", *argv, "--out", str(tmp_path / "run")])
+@pytest.mark.parametrize("argv, message", [
+    (["--system", "qubit", "--h", "1e200"], "overflows"),
+    (["--system", "qubit", "--gamma1", "1e300", "--duration", "10"], "overflows"),
+    (["--system", "qutrit", "--h", "1e200", "--Q", "1"], "overflows"),
+    # at the pole the initial derivative is small, but that of the trial
+    # Euler step overflows the norm
+    (["--system", "qubit", "--h", "1e-10", "--H", "1e300", "--duration", "1"],
+     "step size underflow"),
+], ids=["h", "gamma1", "qutrit-h", "trial-H"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_rejects_rates_that_overflow_the_error_norm(argv, message, tmp_path, capsys):
+    # the startup step was 0 and the trial stage divided by it; then numpy
+    # warned of the overflow ahead of the error line
+    code = main(["simulate", *argv, "--out", str(tmp_path / "run")])
     assert code == 2
-    assert "overflows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--h", "--H", "--omega", "--modulus", "--gamma1", "--gamma2",
