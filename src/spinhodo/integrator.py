@@ -178,8 +178,7 @@ def _initial_step(rhs, t0, y0, f0, direction, span, cfg):
     # Hairer-style startup estimate; the trial Euler step stays in the span,
     # so the rhs is never evaluated past its end
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    # an overflowing norm is inf, reported below or as a zero step by the
-    # step loop, so numpy need not warn of it
+    # an overflowing norm is inf and is reported, so numpy need not warn
     with np.errstate(over="ignore"):
         d0 = _rms(y0 / scale)
         d1 = _rms(f0 / scale)

@@ -182,25 +182,27 @@ def linear_rhs(fp, G, b):
     :func:`eom_jets`, for the integrator hot loop.
 
     M(t) = sum_i w_i G_i over the stack G of shape (4, dim, dim), with
-    w = (1, cn, sn, dn) of the drive fp at omega t; as in eom_jets, each call
-    weighs the generators applied to y.  b, shape (dim,), is added only when
-    it has a nonzero entry.  A drive at omega = 0 is static: its (sn, cn, dn)
-    is the (0, 1, 1) that the drive returns at argument 0 for every modulus,
-    so M is built once and no call evaluates the drive.  That is also the
-    resonant qubit drive in the co-rotating frame.
+    w = (1, cn, sn, dn) of the drive fp at omega t, is built before it is
+    applied: the drive weighs the generators, as field_at the amplitudes, not
+    their products with y.  b, shape (dim,), is added only when nonzero.  A
+    drive at omega = 0 is static: its (sn, cn, dn) is the (0, 1, 1) that the
+    drive returns at argument 0 for every modulus, so M is built once and no
+    call evaluates it (a resonant qubit drive in its co-rotating frame).
     """
     G = np.asarray(G, dtype=float)
-    if fp.omega == 0.0:
-        M = np.dot((1.0, 1.0, 0.0, 1.0), G.reshape(4, -1)).reshape(G.shape[1:])
+    M = np.empty(G.shape[1:])   # refilled in place by each call with a drive
+    G, flat = G.reshape(4, -1), M.reshape(-1)
+    np.dot((1.0, 1.0, 0.0, 1.0), G, out=flat)
+    if fp.omega != 0.0:
+        drive, omega, w = sncndn_of(fp.k), fp.omega, np.ones(4)   # w = (1, cn, sn, dn)
 
         def rhs(t, y):
+            w[2], w[1], w[3] = drive(omega * t)
+            np.dot(w, G, out=flat)
             return np.dot(M, y)
     else:
-        drive, w = sncndn_of(fp.k), fp.omega
-
         def rhs(t, y):
-            sn, cn, dn = drive(w * t)
-            return np.dot((1.0, cn, sn, dn), np.dot(G, y))
+            return np.dot(M, y)
 
     if not np.any(b):
         return rhs

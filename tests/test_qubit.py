@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import ellipj
@@ -182,8 +182,6 @@ def _finite(lo, hi):
        k=st.one_of(st.just(0.0), _finite(0.01, 0.99), st.just(1.0)),
        gamma1=_finite(0, 1), gamma2=_finite(0, 1), r_eq=_finite(-1, 1), t=_finite(-100, 100),
        R=st.lists(_finite(-2, 2), min_size=3, max_size=3))
-@example(mode="circular", h=0.0, H=0.0, omega=1.0, k=0.0, gamma1=5e-324, gamma2=0.0,
-         r_eq=0.2, t=0.0, R=[0.0, 0.0, 0.7])
 def test_make_bloch_rhs_matches_bloch_rhs_over_random_inputs(mode, h, H, omega, k, gamma1,
                                                              gamma2, r_eq, t, R):
     if mode == "elliptic":
@@ -194,10 +192,7 @@ def test_make_bloch_rhs_matches_bloch_rhs_over_random_inputs(mode, h, H, omega, 
     R = np.array(R)
     ref = bloch_rhs(t, R, fp, dp)
     scale = (np.max(np.abs(field_at(t, fp))) + gamma1 + gamma2) * (np.max(np.abs(R)) + abs(r_eq))
-    # below the normal range every product rounds to a multiple of
-    # math.ulp(0.0), whatever the scale, so the bound keeps a few of them
-    bound = 1e-15 * scale + 16 * math.ulp(0.0)
-    assert np.max(np.abs(make_bloch_rhs(fp, dp)(t, R) - ref)) <= bound
+    assert np.max(np.abs(make_bloch_rhs(fp, dp)(t, R) - ref)) <= 1e-15 * scale
 
 
 def _unevaluated_drive(k):
