@@ -6,9 +6,21 @@ geometry.csv (diagnostics only), report.json (observed ranges, events,
 caption comparison), plot.gp (gnuplot script over the CSVs).  All numbers
 are emitted with 17 significant digits; runs are fully deterministic.
 
-A resonant qubit drive (h1 = h2, H = omega != 0) is integrated in the
-co-rotating frame, where it is static, and every artifact is in the lab
-frame; report.json names the frame of the solve (`integrator.frame`).
+The method of a solve follows from its drive, and report.json names it
+(`integrator.method`) with the frame of the solve (`integrator.frame`):
+
+* a qubit drive with h1 = h2 and omega != 0 is solved in the co-rotating
+  frame of the qubit module, where the field is (h, 0, (H - omega) dn).  At
+  resonance (H = omega, any k) or for k = 0 (any H) that field is static,
+  and the solve is one matrix exponential (`integrator.propagate`);
+* any drive of either system at omega = 0 is static in the lab frame and is
+  solved the same way;
+* the rest are stepped by DOP853 in the lab frame: a linear drive has no
+  co-rotating field (h2 = 0), an off-resonance drive with k > 0 keeps its
+  (H - omega) dn in the frame, and a qutrit drive at omega != 0 is not
+  turned into a frame (its d term turns at twice the frame's angle).
+
+Every artifact is in the lab frame.
 """
 
 import argparse
@@ -25,7 +37,7 @@ from . import __version__
 from .elliptic import complete_k, sncndn_of
 from .geometry import (count_torsion_sign_changes, detect_cusps, detect_loops,
                        frenet_geometry)
-from .integrator import IntegratorConfig, integrate, resample_uniform
+from .integrator import IntegratorConfig, integrate, propagate, resample_uniform
 from .presets import PRESETS, check_caption_value
 from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     analytic_elliptic_resonance, analytic_rabi_general,
@@ -70,15 +82,28 @@ def _range(x):
     return [float(np.nanmin(x)), float(np.nanmax(x))]
 
 
+def _solve(fp, params, generators, make_rhs, y0, duration, cfg, n_out):
+    """Solve y' = M(t) y + b of the drive fp, with (G, b) = generators(fp,
+    params), from y0 onto n_out samples of [0, duration]; returns the
+    trajectory and the method.  A static drive (omega = 0, whose (sn, cn, dn)
+    is (0, 1, 1) for every modulus) is one matrix exponential of
+    M = G0 + G1 + G3; any other drive is stepped by DOP853."""
+    if fp.omega == 0.0:
+        G, b = generators(fp, params)
+        return propagate(G[0] + G[1] + G[3], b, y0, (0.0, duration), n_out=n_out), "propagator"
+    return integrate(make_rhs(fp, params), y0, (0.0, duration), cfg, n_out=n_out), "dop853"
+
+
 def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
-    """A resonant drive with h1 = h2 and omega != 0 is solved in the
-    co-rotating frame of the qubit module, where it is the static
-    (h1, 0, 0), and the grid is turned back to the lab frame; every other
-    drive is solved in the lab frame."""
-    corotating = fp.h1 == fp.h2 and fp.H == fp.omega != 0.0
-    solved = FieldParams.circular(fp.h1, 0.0, 0.0) if corotating else fp
-    traj = integrate(make_bloch_rhs(solved, dp), init.bloch(), (0.0, duration), cfg,
-                     n_out=n_out)
+    """A drive with h1 = h2 and omega != 0 whose frame field (h1, 0,
+    (H - omega) dn) is constant, at resonance (H = omega, any k) or for
+    k = 0 (any H), is solved in the co-rotating frame of the qubit module,
+    where it is static, and the grid is turned back to the lab frame; every
+    other drive is solved in the lab frame."""
+    corotating = fp.h1 == fp.h2 and fp.omega != 0.0 and (fp.H == fp.omega or fp.k == 0.0)
+    solved = FieldParams.circular(fp.h1, fp.H - fp.omega, 0.0) if corotating else fp
+    traj, method = _solve(solved, dp, bloch_generators, make_bloch_rhs, init.bloch(),
+                          duration, cfg, n_out)
     if corotating:
         sn, cn, _ = sncndn_of(fp.k)(fp.omega * traj.times)
         u1, u2, u3 = traj.states.T
@@ -90,7 +115,7 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
     fields = field_at(traj.times, fp)
     flip = (1.0 - R[:, 2]) / 2.0
     return {
-        "traj": traj, "frame": "corotating" if corotating else "lab",
+        "traj": traj, "method": method, "frame": "corotating" if corotating else "lab",
         "p": R / lengths[:, None], "fields": fields,
         "eom": (fp, *bloch_generators(fp, dp)),
         "state_columns": {f"R{i + 1}": R[:, i] for i in range(3)},
@@ -101,13 +126,15 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
 
 
 def _simulate_qutrit(fp, ap, duration, cfg, n_out):
+    """A static drive (omega = 0) is solved exactly; any other is stepped,
+    since the d term turns at twice the frame's angle and makes no frame
+    static."""
     if fp.h1 == 0.0 and fp.h2 == 0.0:
         raise ValueError("a qutrit run needs a nonzero transverse amplitude h: with "
                          "h = 0 the spin part of q stays on the z axis, so there is "
                          "no hodograph")
-    traj = integrate(make_qutrit_rhs_real(fp, ap),
-                     bloch8_from_density(initial_density_north()), (0.0, duration), cfg,
-                     n_out=n_out)
+    traj, method = _solve(fp, ap, qutrit_generators, make_qutrit_rhs_real,
+                          bloch8_from_density(initial_density_north()), duration, cfg, n_out)
     qs = traj.states
     p = polarization_series(qs)
     if np.any(~np.isfinite(p)):
@@ -116,7 +143,7 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
     pops = dict(zip(("p_plus", "p_zero", "p_minus"), _populations(qs[:, 2], qs[:, 5])))
     fields = field_at(traj.times, fp)
     return {
-        "traj": traj, "frame": "lab", "p": p, "fields": fields,
+        "traj": traj, "method": method, "frame": "lab", "p": p, "fields": fields,
         "eom": (fp, *qutrit_generators(fp, ap)),
         "state_columns": {f"q{i + 1}": qs[:, i] for i in range(8)},
         "extra_columns": {"P_plus": pops["p_plus"], "P_zero": pops["p_zero"],
@@ -169,8 +196,14 @@ def _caption_checks(expected, obs, events):
 
 def _analyze(sim, expected=None):
     traj = sim["traj"]
-    series = frenet_geometry(traj.times, traj.states[:, :3],
-                             *eom_jets(*sim["eom"], traj.times, traj.states))
+    # the jets multiply the state by up to three generators; an overflow is
+    # reported, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = eom_jets(*sim["eom"], traj.times, traj.states)
+    if not all(np.isfinite(j).all() for j in jets):
+        raise ValueError("a time derivative of the state overflows; the rates "
+                         "are too large for float64")
+    series = frenet_geometry(traj.times, traj.states[:, :3], *jets)
     if not series.valid.any():
         raise ValueError("the direction never moves (its speed is below the floor on "
                          "every sample), so there is no hodograph")
@@ -427,6 +460,16 @@ def _run(system, fp, dp, init, ap, duration, n_out, preset=None, expected=None):
         raise ValueError(f"unknown system {system!r}")
     series, obs, ev, checks = _analyze(sim, expected)
     traj = sim["traj"]
+    integ = {"method": sim["method"], "frame": sim["frame"]}
+    if sim["method"] == "dop853":   # a propagator solve has no steps and no tolerances
+        integ.update({
+            "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
+            "max_local_error": traj.max_error_estimate,
+            "n_steps": traj.n_steps,
+            "n_rejected": traj.n_rejected,
+            "rhs_evals": traj.rhs_evals,
+            "rhs_evals_per_sample": traj.rhs_evals / len(traj.times),
+        })
     report = {
         "tool": f"spinhodo {__version__}",
         "preset": preset,
@@ -434,15 +477,7 @@ def _run(system, fp, dp, init, ap, duration, n_out, preset=None, expected=None):
         "parameters": _param_record(system, fp, dp, init, ap),
         "duration": duration,
         "n_samples": len(traj.times),
-        "integrator": {
-            "frame": sim["frame"],
-            "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-            "max_local_error": traj.max_error_estimate,
-            "n_steps": traj.n_steps,
-            "n_rejected": traj.n_rejected,
-            "rhs_evals": traj.rhs_evals,
-            "rhs_evals_per_sample": traj.rhs_evals / len(traj.times),
-        },
+        "integrator": integ,
         "observed": obs,
         "events": ev,
         "caption_checks": checks,

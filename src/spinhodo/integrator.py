@@ -1,7 +1,14 @@
-"""Error-controlled ODE integration with dense, uniform output.
+"""ODE solutions on a uniform output grid: exact for a constant linear
+system, error-controlled for any other.
+
+:func:`propagate` solves y' = A y + b with A and b constant, with no steps:
+one matrix exponential of the augmented generator over the grid spacing,
+and the grid by state doubling.  The cli sends it every drive that is
+constant in the frame of its solve; its accuracy is that of rounding, and
+no tolerance enters it.
 
 Hairer's DOP853, an 8th-order Runge-Kutta method with a combined 5th/3rd-
-order error estimate, drives both linear systems under PI step-size
+order error estimate, steps the drives that are not, under PI step-size
 control: the 3-component qubit coherence vector and the 8-component qutrit
 coherence vector.  Two output modes are provided:
 
@@ -28,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate", "resample_uniform"]
+__all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate", "resample_uniform",
+           "propagate"]
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10): 12 stages,
 # the FSAL stage 12 at (t+h, y_new), and stages 13-15 of the 7th-order
@@ -119,11 +127,16 @@ _PI_ALPHA = 0.7 / 8.0   # PI controller exponents for an 8th-order pair
 _PI_BETA = 0.4 / 8.0
 _FILL_BLOCK_ROWS = 1024   # dense-output rows evaluated at once; bounds the temporaries
 _FILL_STEPS = 32          # continuous extensions held before they are evaluated
+# propagate: the terms the Taylor polynomial of degree 18 omits sum to
+# 4.5e-17, below 2^-53, at a norm of 1.09 (1.09^19/19! = 4.2e-17)
+_TAYLOR_DEGREE = 18
+_TAYLOR_THETA = 1.09
+_MAX_PHASE = 1e14         # largest ||A||_1 |t1 - t0| that propagate resolves
 
 
 class IntegrationError(RuntimeError):
-    """Raised on step underflow or a non-finite step; carries the last
-    successfully reached time."""
+    """Raised on step underflow, a non-finite step or a span the propagator
+    cannot resolve; carries the last successfully reached time."""
 
     def __init__(self, message, last_time):
         super().__init__(f"{message} (last good time t={last_time:.6g})")
@@ -144,14 +157,15 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid solution with the statistics of the solve."""
+    """Uniform-grid solution with the statistics of the solve; a solve that
+    takes no steps (:func:`propagate`) has no statistics, and they are None."""
 
     times: np.ndarray
     states: np.ndarray                  # (n, dim)
-    max_error_estimate: float           # largest weighted local error accepted
-    n_steps: int
-    n_rejected: int
-    rhs_evals: int                      # right-hand-side evaluations of the solve
+    max_error_estimate: float = None    # largest weighted local error accepted
+    n_steps: int = None
+    n_rejected: int = None
+    rhs_evals: int = None               # right-hand-side evaluations of the solve
 
 
 def _rms(x):
@@ -370,3 +384,64 @@ def resample_uniform(rhs, n, y0, t_span, cfg=None):
         raise ValueError("uniform resampling needs at least 7 points")
     times = np.linspace(t_span[0], t_span[1], n)
     return _run(rhs, y0, t_span, cfg, times, exact_landing=True)
+
+
+def _expm(Z, norm):
+    """exp(Z) of a small matrix with 1-norm `norm`, by scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005; Moler & Van Loan,
+    SIAM Rev. 45, 3, 2003): the Taylor polynomial of degree 18 in Horner
+    form at Z / 2^s, with s the fewest halvings that bring the norm to
+    _TAYLOR_THETA, then s squarings.  No eigenvectors, so a defective Z
+    (a damped generator whose eigenvalues coalesce) is no special case."""
+    s = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm > 0.0 else 0
+    Z = np.ldexp(Z, -s)
+    eye = np.eye(len(Z))
+    P = eye
+    for j in range(_TAYLOR_DEGREE, 0, -1):
+        P = eye + Z.dot(P) / j
+    for _ in range(s):
+        P = P.dot(P)
+    return P
+
+
+def propagate(A, b, y0, t_span, *, n_out):
+    """Solve y' = A y + b, with A and b constant, onto a uniform grid of
+    n_out points over t_span, with no steps.
+
+    One matrix exponential gives the grid step: with Y = (y, 1),
+    Y(t + dt) = P Y(t) for P = exp([[A, b], [0, 0]] dt).  The grid comes from
+    state doubling: rows m..2m-1 are rows 0..m-1 times P^m, and P^(2m) is
+    P^m squared, so n_out samples take about 2 log2(n_out) products and no
+    loop over samples.  The rounding of the samples grows like
+    eps ||A|| |t|; a span over which ||A||_1 |t1 - t0| exceeds _MAX_PHASE is
+    refused, as DOP853 refuses a step below 1e-14 of t.
+    """
+    if n_out < 2:
+        raise ValueError("need at least 2 output points")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t0 == t1:
+        raise ValueError("empty integration span")
+    y0 = np.asarray(y0, dtype=float)
+    dim = y0.size
+    dt = (t1 - t0) / (n_out - 1)
+    Z = np.zeros((dim + 1, dim + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z[:dim, :dim] = np.multiply(A, dt)
+        Z[:dim, dim] = np.multiply(b, dt)
+        norm = float(np.max(np.sum(np.abs(Z[:dim, :dim]), axis=0)))
+    if not norm * (n_out - 1) <= _MAX_PHASE:
+        raise IntegrationError(
+            f"the generator's norm times the span, {norm * (n_out - 1):.3g}, is over "
+            f"{_MAX_PHASE:.0e}: float64 cannot resolve the solution", t0)
+    step = _expm(Z, norm).T            # row form: Y[i + 1] = Y[i] @ step
+    Y = np.empty((n_out, dim + 1))
+    Y[0, :dim], Y[0, dim] = y0, 1.0
+    filled = 1
+    while True:
+        rows = min(filled, n_out - filled)
+        Y[filled:filled + rows] = Y[:rows].dot(step)
+        filled += rows
+        if filled == n_out:
+            break
+        step = step.dot(step)
+    return Trajectory(np.linspace(t0, t1, n_out), Y[:, :dim].copy())

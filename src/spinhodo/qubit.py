@@ -25,7 +25,11 @@ the same equation in the field (h, 0, (H - w) dn), since the damping
 diag(gamma2, gamma2, gamma1) and the constant term (0, 0, gamma1 r_eq)
 commute with Rz (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167, 1954).
 At resonance, H = w, that field is the static (h, 0, 0) for every modulus,
-damping and initial state, and R = (cn u1 - sn u2, sn u1 + cn u2, u3).
+damping and initial state, and R = (cn u1 - sn u2, sn u1 + cn u2, u3).  For
+k = 0, dn = 1 and the field is the static (h, 0, H - w) at any H.  The cli
+solves those drives, and any drive at w = 0, with one matrix exponential;
+linear drives (h2 = 0) and off-resonance drives with k > 0 have no static
+frame here and are stepped.
 """
 
 import math

@@ -382,9 +382,11 @@ def test_report_counts_rhs_evaluations(tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(cli, "make_bloch_rhs", counting_make_bloch_rhs)
-    report = simulate("qubit", FieldParams.elliptic(0.5, 0.3, 0.3, 0.6), 40.0,
+    # off resonance with k > 0 no frame is static, so DOP853 steps
+    report = simulate("qubit", FieldParams.elliptic(0.5, 0.4, 0.3, 0.6), 40.0,
                       dp=DampingParams(0.02, 0.05, 0.1), n_out=1001)
     integ = report["integrator"]
+    assert integ["method"] == "dop853"
     assert integ["rhs_evals"] == len(calls) > 0
     assert integ["rhs_evals_per_sample"] == len(calls) / report["n_samples"]
 
@@ -400,9 +402,14 @@ def test_env_tolerance_override(monkeypatch):
 
 def test_loose_tolerance_records_population_drift(monkeypatch):
     # the populations of a loose solve leave [0, 1] by its error; the report
-    # records that drift instead of refusing the run
+    # records that drift instead of refusing the run.  fig8's drive is static
+    # and solved exactly, so a slow drive of the same amplitudes is stepped
     monkeypatch.setenv("SPINHODO_TOL", "1e-6")
-    pops = run_preset("fig8")["observed"]["populations"]
+    preset = PRESETS["fig8"]
+    report = simulate("qutrit", FieldParams.circular(0.375, 0.03, 0.03), preset.duration,
+                      ap=preset.aniso, n_out=preset.n_output)
+    assert report["integrator"]["method"] == "dop853"
+    pops = report["observed"]["populations"]
     assert -1e-6 < pops["p_minus"][0] < -1e-9
 
 
@@ -495,43 +502,97 @@ def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=25, deadline=None)
-@given(h=_finite(-2, 2), omega=st.one_of(_finite(-2, -0.05), _finite(0.05, 2)),
-       k=_finite(0, 1), circular=st.booleans(), gamma1=_finite(0, 0.5),
-       gamma2=_finite(0, 0.5), r_eq=_finite(-1, 1), theta0=_finite(0, math.pi),
-       phi0=_finite(-7, 7))
-def test_corotating_solve_matches_the_lab_frame(h, omega, k, circular, gamma1, gamma2,
-                                                r_eq, theta0, phi0):
-    # at resonance the drive is static in the frame turned by am(wt|k) about z,
-    # for any damping and start; the lab frame solves the same equation
-    assume(gamma1 != gamma2)
-    fp = (FieldParams.circular(h, omega, omega) if circular
-          else FieldParams.elliptic(h, omega, omega, k))
-    dp, init = DampingParams(gamma1, gamma2, r_eq), InitialAngles(theta0, phi0)
-    sim = cli._simulate_qubit(fp, dp, init, 10.0, default_config(), 201)
-    assert sim["frame"] == "corotating"
-    lab = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, 10.0), default_config(),
-                    n_out=201)
+# drives whose field is constant in the frame of their solve, by their
+# amplitudes (h, H), frequency w and modulus k: at resonance (any k) or at
+# k = 0 (any H) in the frame turned by am(wt|k), at w = 0 in the lab frame
+FRAME_CONSTANT_DRIVES = {
+    "resonant-circular": lambda h, H, w, k: FieldParams.circular(h, w, w),
+    "resonant-elliptic": lambda h, H, w, k: FieldParams.elliptic(h, w, w, k),
+    "k0-circular": lambda h, H, w, k: FieldParams.circular(h, H, w),
+    "k0-elliptic": lambda h, H, w, k: FieldParams.elliptic(h, H, w, 0.0),
+    "static-circular": lambda h, H, w, k: FieldParams.circular(h, H, 0.0),
+    "static-linear": lambda h, H, w, k: FieldParams.linear(h, H, 0.0),
+    "static-elliptic": lambda h, H, w, k: FieldParams.elliptic(h, H, 0.0, k),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(drive=st.sampled_from(sorted(FRAME_CONSTANT_DRIVES)), qutrit=st.booleans(),
+       h=_finite(-2, 2), H=_finite(-2, 2),
+       omega=st.one_of(_finite(-2, -0.05), _finite(0.05, 2)), k=_finite(0, 1),
+       gamma1=_finite(0, 0.5), gamma2=_finite(0, 0.5), r_eq=_finite(-1, 1),
+       theta0=_finite(0, math.pi), phi0=_finite(-7, 7), Q=_finite(-2, 2), d=_finite(-2, 2))
+def test_corotating_solve_matches_the_lab_frame(drive, qutrit, h, H, omega, k, gamma1, gamma2,
+                                                r_eq, theta0, phi0, Q, d):
+    # a drive static in the frame of its solve is one matrix exponential, for
+    # any damping and start; DOP853 in the lab frame solves the same equation.
+    # The qutrit's frame is the lab frame, so only its static drives qualify
+    static = drive.startswith("static")
+    assume(gamma1 != gamma2 and (static or not qutrit))
+    fp = FRAME_CONSTANT_DRIVES[drive](h, H, omega, k)
+    cfg = default_config()
+    if qutrit:
+        assume(h != 0.0)
+        ap = AnisotropyParams(Q, d)
+        sim = cli._simulate_qutrit(fp, ap, 10.0, cfg, 201)
+        lab = integrate(make_qutrit_rhs_real(fp, ap), bloch8_from_density(initial_density_north()),
+                        (0.0, 10.0), cfg, n_out=201)
+    else:
+        dp, init = DampingParams(gamma1, gamma2, r_eq), InitialAngles(theta0, phi0)
+        sim = cli._simulate_qubit(fp, dp, init, 10.0, cfg, 201)
+        lab = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, 10.0), cfg, n_out=201)
+    assert (sim["method"], sim["frame"]) == ("propagator", "lab" if static else "corotating")
     assert np.max(np.abs(sim["traj"].states - lab.states)) < 1e-8
 
 
-@pytest.mark.parametrize("fp, frame", [
-    (FieldParams.circular(0.5, 0.3, 0.3), "corotating"),
-    (FieldParams.elliptic(0.5, -0.3, -0.3, 1.0), "corotating"),
-    (FieldParams.elliptic(0.5, 0.3, 0.3, 0.6), "corotating"),
-    (FieldParams.circular(0.5, 0.3, 0.31), "lab"),         # detuned
-    (FieldParams.elliptic(0.5, 0.4, 0.3, 0.6), "lab"),
-    (FieldParams.linear(0.5, 0.3, 0.3), "lab"),            # h2 = 0: no co-rotating field
-    (FieldParams.circular(0.5, 0.0, 0.0), "lab"),          # static already
+def test_propagator_solves_a_defective_damped_generator():
+    # with h = |gamma1 - gamma2|/2 the frame generator's eigenvalues coalesce
+    # at -(gamma1 + gamma2)/2 and it has no eigenbasis
+    fp, dp = FieldParams.circular(0.2, 0.7, 0.7), DampingParams(0.5, 0.1, 0.3)
+    init = InitialAngles(1.1, 0.4)
+    sim = cli._simulate_qubit(fp, dp, init, 25.0, default_config(), 501)
+    assert sim["method"] == "propagator"
+    ref = integrate(make_bloch_rhs(fp, dp), init.bloch(), (0.0, 25.0),
+                    IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15), n_out=501)
+    assert np.max(np.abs(sim["traj"].states - ref.states)) < 1e-12
+
+
+@pytest.mark.parametrize("system, fp, dp, init, ap", [
+    ("qubit", FieldParams.circular(0.5, 0.3, 0.7), DampingParams.uniform(0.1),
+     InitialAngles(0.4, 0.2), None),
+    ("qubit", FieldParams.elliptic(0.5, 0.3, 0.3, 0.6), None, None, None),
+    ("qubit", FieldParams.elliptic(0.5, -0.4, -0.4, 1.0), DampingParams.uniform(0.02),
+     None, None),
+    ("qutrit", FieldParams.circular(0.375, 0.0, 0.0), None, None, AnisotropyParams(Q=1.0)),
+], ids=["detuned", "k0.6", "k1-damped", "qutrit-static"])
+def test_propagator_matches_the_closed_form_to_rounding(system, fp, dp, init, ap):
+    report = simulate(system, fp, 40.0, dp=dp, init=init, ap=ap, n_out=2001, analytic=True)
+    assert report["integrator"]["method"] == "propagator"
+    assert report["analytic_max_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("fp, frame, method", [
+    (FieldParams.circular(0.5, 0.3, 0.3), "corotating", "propagator"),
+    (FieldParams.elliptic(0.5, -0.3, -0.3, 1.0), "corotating", "propagator"),
+    (FieldParams.elliptic(0.5, 0.3, 0.3, 0.6), "corotating", "propagator"),
+    (FieldParams.circular(0.5, 0.3, 0.31), "corotating", "propagator"),   # k = 0
+    (FieldParams.elliptic(0.5, 0.4, 0.3, 0.6), "lab", "dop853"),
+    (FieldParams.linear(0.5, 0.3, 0.3), "lab", "dop853"),   # h2 = 0: no co-rotating field
+    (FieldParams.circular(0.5, 0.0, 0.0), "lab", "propagator"),           # static already
 ], ids=["circular", "k1", "k0.6", "detuned", "detuned-k0.6", "linear", "static"])
-def test_report_names_the_frame_of_the_solve(fp, frame):
+def test_report_names_the_frame_of_the_solve(fp, frame, method):
     report = simulate("qubit", fp, 5.0, dp=DampingParams(0.02, 0.05, 0.1), n_out=101)
-    assert report["integrator"]["frame"] == frame
+    integ = report["integrator"]
+    assert (integ["frame"], integ["method"]) == (frame, method)
+    # a solve with no steps reports no step statistics and no tolerances
+    stepped = {"rel_tol", "abs_tol", "max_local_error", "n_steps", "n_rejected", "rhs_evals",
+               "rhs_evals_per_sample"}
+    assert set(integ) == {"frame", "method"} | (stepped if method == "dop853" else set())
 
 
 def test_preset_reports_name_the_frame(fig5_run, fig8_run):
-    assert fig5_run[1]["integrator"]["frame"] == "corotating"
-    assert fig8_run[1]["integrator"]["frame"] == "lab"
+    assert fig5_run[1]["integrator"] == {"method": "propagator", "frame": "corotating"}
+    assert fig8_run[1]["integrator"] == {"method": "propagator", "frame": "lab"}
 
 
 # ------------------------------------------------------- simulate's flags
@@ -559,18 +620,24 @@ def test_main_impulse_drive_asks_for_a_duration(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--system", "qubit", "--h", "1e200"], "overflows"),
-    (["--system", "qubit", "--gamma1", "1e300", "--duration", "10"], "overflows"),
+    # solved exactly, but the jets of the state overflow
+    (["--system", "qubit", "--h", "1e200"], "a time derivative of the state overflows"),
+    # the rates times the span are past what float64 resolves
+    (["--system", "qubit", "--gamma1", "1e300", "--duration", "10"],
+     "float64 cannot resolve the solution"),
+    # DOP853: the error norm of the initial derivative overflows
     (["--system", "qutrit", "--h", "1e200", "--Q", "1"], "overflows"),
-    # at the pole the initial derivative is small, but that of the trial
-    # Euler step overflows the norm
     (["--system", "qubit", "--h", "1e-10", "--H", "1e300", "--duration", "1"],
-     "step size underflow"),
-], ids=["h", "gamma1", "qutrit-h", "trial-H"])
+     "float64 cannot resolve the solution"),
+    # DOP853 at the pole: the initial derivative is small, but that of the
+    # trial Euler step overflows the norm
+    (["--system", "qubit", "--mode", "elliptic", "--modulus", "0.5", "--h", "1e-10",
+      "--H", "1e300", "--omega", "0.3", "--duration", "1"], "step size underflow"),
+], ids=["h", "gamma1", "qutrit-h", "trial-H", "trial-H-stepped"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_rejects_rates_that_overflow_the_error_norm(argv, message, tmp_path, capsys):
-    # the startup step was 0 and the trial stage divided by it; then numpy
-    # warned of the overflow ahead of the error line
+    # the startup step of DOP853 was 0 and the trial stage divided by it;
+    # then numpy warned of the overflow ahead of the error line
     code = main(["simulate", *argv, "--out", str(tmp_path / "run")])
     assert code == 2
     assert message in capsys.readouterr().err

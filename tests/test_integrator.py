@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients
+from scipy.linalg import expm
 
 from spinhodo.integrator import (_A, _B, _C, _D, _E3, _E5, _FILL_BLOCK_ROWS,
                                  _FILL_STEPS, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA,
                                  _PI_BETA, _SAFETY, IntegrationError, IntegratorConfig,
-                                 _dense_coeffs, _dense_eval, _error_norm,
-                                 _initial_step, _step, integrate, resample_uniform)
+                                 _dense_coeffs, _dense_eval, _error_norm, _expm,
+                                 _initial_step, _step, integrate, propagate,
+                                 resample_uniform)
 from spinhodo.qubit import DampingParams, FieldParams, make_bloch_rhs
 from spinhodo.qutrit import AnisotropyParams, make_qutrit_rhs_real
 
@@ -350,3 +352,60 @@ def test_rhs_evals_count_every_call(solver, case, rhs, y0, t_span, n_out):
         assert extension == 0
     if case == "rejected steps":
         assert traj.n_rejected > 0
+
+
+# ------------------------------------------------------------------ propagate
+
+@pytest.mark.parametrize("scale", [1e-3, 0.5, 1.09, 3.0, 40.0])
+def test_expm_matches_scipy(scale):
+    rng = np.random.default_rng(7)
+    for Z in (rng.normal(size=(4, 4)), rng.normal(size=(9, 9)),
+              np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])):  # defective
+        Z = Z * (scale / np.abs(Z).sum(axis=0).max())
+        ref = expm(Z)
+        assert np.max(np.abs(_expm(Z, scale) - ref)) < 1e-14 * np.abs(ref).max() * max(1.0, scale)
+
+
+@pytest.mark.parametrize("t_span, n_out", [((0.0, 7.0), 37), ((1.5, -6.0), 1000),
+                                           ((0.0, 30.0), 2)])
+def test_propagate_matches_integrate(t_span, n_out):
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(5, 5)) - 0.5 * np.eye(5)
+    A[0, 4] = 3.0                          # far from normal
+    b, y0 = rng.normal(size=5), rng.normal(size=5)
+    if n_out == 2:
+        A = 0.3 * (A - A.T)                # a long undamped span in one grid step
+    traj = propagate(A, b, y0, t_span, n_out=n_out)
+    ref = integrate(lambda t, y: A @ y + b, y0, t_span,
+                    IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15), n_out=n_out)
+    assert np.array_equal(traj.times, ref.times)
+    assert traj.n_steps is None and traj.rhs_evals is None
+    assert np.array_equal(traj.states[0], y0)
+    scale = np.max(np.abs(ref.states), axis=0)
+    assert np.max(np.abs(traj.states - ref.states) / scale) < 1e-11
+
+
+def test_propagate_matches_the_relaxation_closed_form():
+    # y' = -g (y - y_eq) componentwise: y = y_eq + (y0 - y_eq) e^{-g t}
+    g = np.array([0.0, 0.3, 1.7, 25.0])
+    y_eq, y0 = np.array([0.0, 0.5, -2.0, 1.0]), np.array([1.0, -1.0, 0.25, 3.0])
+    traj = propagate(-np.diag(g), g * y_eq, y0, (0.0, 4.0), n_out=401)
+    ref = y_eq + (y0 - y_eq) * np.exp(-g * traj.times[:, None])
+    assert np.max(np.abs(traj.states - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("rate, span", [(1e20, 1e3), (1e300, 1e300), (1.0, 1e300)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_rejects_a_span_float64_cannot_resolve(rate, span):
+    # the rounding of the samples grows like eps ||A|| t; in the second case
+    # A dt itself overflows
+    A = rate * np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(IntegrationError, match="float64 cannot resolve"):
+        propagate(A, np.zeros(2), [1.0, 0.0], (0.0, span), n_out=101)
+
+
+def test_propagate_validates_its_grid():
+    with pytest.raises(ValueError, match="at least 2"):
+        propagate(np.eye(2), np.zeros(2), [1.0, 0.0], (0.0, 1.0), n_out=1)
+    with pytest.raises(ValueError, match="empty"):
+        propagate(np.eye(2), np.zeros(2), [1.0, 0.0], (1.0, 1.0), n_out=5)

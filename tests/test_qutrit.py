@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinhodo import qubit as qubit_module
@@ -145,6 +145,8 @@ def _unevaluated_drive(k):
 @given(h=_finite(-5, 5), H=_finite(-5, 5), Q=_finite(-5, 5), d=_finite(-5, 5),
        k=_finite(0, 1), t=_finite(-50, 50), linear=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
+# a subnormal d with no other term: the relative bound alone is 0 there
+@example(h=0.0, H=0.0, Q=0.0, d=2.225073858507e-311, k=0.0, t=0.0, linear=False, seed=0)
 def test_static_drive_rhs_matches_liouville_without_evaluating_the_drive(h, H, Q, d, k, t,
                                                                          linear, seed):
     # at omega = 0 the drive is its value at argument 0, so M is built once;
@@ -161,7 +163,8 @@ def test_static_drive_rhs_matches_liouville_without_evaluating_the_drive(h, H, Q
     q = bloch8_from_density(rho)
     scale = (abs(fp.h1) + abs(fp.h2) + abs(H) + abs(Q) + abs(d)) * np.sum(np.abs(q))
     dq = rhs(t, q) - bloch8_from_density(qutrit_rhs(t, rho, fp, ap))
-    assert np.max(np.abs(dq)) <= 1e-15 * scale
+    # the two formulas may round apart by a few grains below the normal range
+    assert np.max(np.abs(dq)) <= 1e-15 * scale + 16 * math.ulp(0.0)
 
 
 def test_evolve_density_states_are_q():
