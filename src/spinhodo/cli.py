@@ -52,6 +52,10 @@ __all__ = ["run_preset", "simulate", "closure_search", "main", "UnsupportedAnaly
 
 _POINTS_PER_PERIOD = 2000   # output samples per natural period of a free run
 _MAX_SAMPLES = 1_000_001    # grid of a free run: 500 periods, about 0.4 GB in memory
+# torsion's (p' x p'').p''' and |p' x p''|^2 grow as the sixth power of the
+# direction's rate; their bound, about 1e3 rate^6, stays below float64's
+# 1.8e308 up to this rate
+_RATE_MAX = 1e50
 
 
 class UnsupportedAnalytic(ValueError):
@@ -196,14 +200,22 @@ def _caption_checks(expected, obs, events):
 
 def _analyze(sim, expected=None):
     traj = sim["traj"]
-    # the jets multiply the state by up to three generators; an overflow is
-    # reported, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the jets multiply the state by up to three generators, and the rate of
+    # order k is |s^(k)|/|s| to the power 1/k, whose square overflows only
+    # past _RATE_MAX; an overflow is reported, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         jets = eom_jets(*sim["eom"], traj.times, traj.states)
+        s = traj.states[:, :3]
+        s2 = np.einsum("ij,ij->i", s, s)
+        rate = np.max([np.max(np.einsum("ij,ij->i", d, d) / s2) ** (0.5 / k)
+                       for k, d in enumerate(jets, 1)])
     if not all(np.isfinite(j).all() for j in jets):
         raise ValueError("a time derivative of the state overflows; the rates "
                          "are too large for float64")
-    series = frenet_geometry(traj.times, traj.states[:, :3], *jets)
+    if not rate <= _RATE_MAX:
+        raise ValueError(f"the direction turns at a rate above {_RATE_MAX:g}, where "
+                         "its curvature and torsion overflow float64")
+    series = frenet_geometry(traj.times, s, *jets)
     if not series.valid.any():
         raise ValueError("the direction never moves (its speed is below the floor on "
                          "every sample), so there is no hodograph")

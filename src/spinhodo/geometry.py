@@ -12,11 +12,10 @@ edges).
 Event detectors are vectorised over samples.  Loop detection tests chord
 pairs of the subsampled polyline with a great-circle predicate.  A padded
 bounding ball around each chord keeps every pair that predicate can accept;
-the pairs are found in one pass over strips of consecutive chords, where a
-ball around each strip first drops the later chords out of its reach, and
-the candidates reach the predicate in a few large batches.  The predicate
-itself is the unchanged per-pair arithmetic, so the events are exact, not
-an approximation of a brute-force pass over all pairs.
+the pairs whose balls may meet are found by one sort-and-sweep over the
+balls' extents along z, and reach the predicate in bounded batches.  The
+predicate itself is the unchanged per-pair arithmetic, so the events are
+exact, not an approximation of a brute-force pass over all pairs.
 """
 
 import math
@@ -38,19 +37,18 @@ _STENCIL = 7
 _POLE_RHO = 1e-4          # below this transverse radius phi and the rates are flagged
 _SPEED_FLOOR = 1e-6       # |p'| below this leaves curvature/torsion unreliable
 _TORSION_BAND = 1e-9      # torsion signs count beyond this share of max |torsion|
-_STRIP = 32               # first chords per strip of the candidate pass
-_BATCH = 8192             # candidate pairs per predicate call, at most
+_BATCH = 8192             # interval pairs per batch of the sweep, at most
 _SHORT_ARC = 1e-10        # |a x b| below this: the arc gets no bounding ball
 _BALL_PAD = 1e-9          # covers the 1e-12 predicate slack and rounding
 _DOT_SLACK = 1e-14        # rounding of the centre dot products
 # The chord-ball test keeps c_i.c_j >= 1 - reach^2/2 - _DOT_SLACK.  The centres
 # are unit to 2.2e-16, and the dot product and the threshold round by a few
 # 1e-16, so the test keeps |c_i - c_j|^2 <= reach^2 + 2 _DOT_SLACK + 2e-15 at
-# most, and |c_i - c_j| <= reach + sqrt(2.2e-14) = reach + 1.5e-7.  By the
-# triangle inequality through any strip chord i, a chord j the test can keep
-# lies within strip radius + r_j + 1.5e-7 of the strip centre; _STRIP_PAD
-# also covers the rounding of that distance and of its terms.
-_STRIP_PAD = 1e-6
+# most, and |c_i - c_j| <= reach + sqrt(2.2e-14) = reach + 1.5e-7.  The z
+# coordinates of such a pair then differ by at most r_i + r_j + 1.5e-7, so
+# their z intervals, each widened by _SWEEP_PAD, overlap; the pad also covers
+# the rounding of the interval ends.
+_SWEEP_PAD = 1e-6
 _CUSP_SPEED = 0.05        # a cusp's speed is below this share of the median speed
 _CUSP_CURVATURE = 50.0    # and its curvature above this multiple of the median
 
@@ -430,12 +428,8 @@ def detect_loops(times, p, max_segments=1500, guard=3):
     predicate's slack and rounding, and only pairs whose balls overlap are
     passed to the predicate.  The filter keeps every pair the predicate can
     accept and the predicate is unchanged, so the result is exact.  The
-    first chords of the pairs are taken in strips of _STRIP consecutive
-    chords: one ball around the strip's balls drops, in one vector
-    operation, every later chord that cannot reach any of them, and the
-    chord-ball test runs on the strip against the chords left.  The pairs
-    it keeps go to the predicate in batches of at most _BATCH, which bounds
-    the temporaries whatever the number of chords.
+    balls that may meet are paired by one sort-and-sweep along z
+    (:func:`_candidate_pairs`), in a fixed number of vector operations.
     """
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -455,42 +449,8 @@ def detect_loops(times, p, max_segments=1500, guard=3):
     centre, radius = _chord_balls(a, b, nlen)
 
     chords = np.flatnonzero(nlen > 1e-14)   # a shorter chord has no plane
-    n_rows = np.searchsorted(chords, m - guard - 1)
-    hits, pending, n_pending = [], [], 0
-    for k in range(0, n_rows, _STRIP):
-        rows = chords[k:min(k + _STRIP, n_rows)]
-        cols = chords[np.searchsorted(chords, rows[0] + guard, side="right"):]
-        c_rows, r_rows = centre[rows], radius[rows]
-        strip_centre = c_rows.mean(axis=0)
-        strip_radius = np.max(np.linalg.norm(c_rows - strip_centre, axis=1) + r_rows)
-        if strip_radius < np.inf:   # else an unbounded chord: every column stays
-            d = centre[cols] - strip_centre
-            reach = radius[cols] + (strip_radius + _STRIP_PAD)
-            cols = cols[np.einsum("ij,ij->i", d, d) <= reach * reach]
-        # the chord-ball test c_i.c_j >= 1 - reach^2/2 - _DOT_SLACK, with its
-        # threshold built in place: one (strip, columns) temporary, not three
-        limit = r_rows[:, None] + radius[cols]
-        limit *= limit
-        limit *= -0.5
-        limit += 1.0
-        limit -= _DOT_SLACK
-        keep = c_rows @ centre[cols].T >= limit
-        del limit
-        # guard band and seam: only the first and last columns can break them
-        g = np.searchsorted(cols, rows[-1] + guard, side="right")
-        keep[:, :g] &= cols[:g] > rows[:, None] + guard
-        if closed:  # cyclic neighbourhood of the seam
-            g = np.searchsorted(cols, rows[0] + m - guard)
-            keep[:, g:] &= cols[g:] < rows[:, None] + (m - guard)
-        ii, jj = np.nonzero(keep)
-        pending.append((rows[ii], cols[jj]))
-        n_pending += ii.size
-        del keep, ii, jj   # freed before the predicate runs
-        if n_pending >= _BATCH or k + _STRIP >= n_rows:
-            i, j = (np.concatenate(x) for x in zip(*pending))
-            pending, n_pending = [], 0
-            hits += [_piercings(a, b, normals, nlen, i[s:s + _BATCH], j[s:s + _BATCH])
-                     for s in range(0, len(i), _BATCH)]
+    hits = [_piercings(a, b, normals, nlen, *pairs)
+            for pairs in _candidate_pairs(centre, radius, chords, guard, m, closed)]
     if not hits:
         return []
     i, sign, j = np.concatenate(hits, axis=1)
@@ -522,6 +482,44 @@ def _first_of_each_crossing(i, sign, j):
                 root[max(r, q)] = min(r, q)
         seen[key] = k
     return [k for k in range(len(i)) if find(k) == k]
+
+
+def _candidate_pairs(centre, radius, chords, guard, m, closed):
+    """Pairs (i, j), i < j, of `chords` that the chord-ball test, the guard
+    band and the seam rule keep, as (2, n) arrays of at most _BATCH pairs.
+
+    Sort-and-sweep (Cohen et al., I-COLLIDE, 1995): with the balls' z
+    intervals, widened by _SWEEP_PAD, sorted by their lower ends, each one
+    overlaps the run of later ones that start at or before its upper end.
+    The runs are expanded _BATCH pairs at a time, so memory stays bounded.
+    """
+    lo = centre[chords, 2] - radius[chords] - _SWEEP_PAD
+    order = np.argsort(lo, kind="stable")
+    ids, lo = chords[order], lo[order]
+    (cx, cy, cz), r = centre[ids].T, radius[ids]
+    stop = np.searchsorted(lo, cz + r + _SWEEP_PAD, side="right")   # past each run
+    ends = np.cumsum(stop - np.arange(1, len(ids) + 1))   # past its pairs, flat
+    held, n_held = [], 0   # kept pairs, passed on at most _BATCH at a time
+    for start in range(0, ends[-1] if len(ends) else 0, _BATCH):
+        other = np.arange(start, min(start + _BATCH, ends[-1]))   # flat, then the later ball
+        k = np.searchsorted(ends, other, side="right")
+        other += (stop - ends)[k]
+        # the chord-ball test c_k.c_other >= 1 - reach^2/2 - _DOT_SLACK
+        limit = r[k] + r[other]
+        keep = cx[k] * cx[other] + cy[k] * cy[other] + cz[k] * cz[other] \
+            >= 1.0 - 0.5 * limit * limit - _DOT_SLACK
+        i, j = ids[k[keep]], ids[other[keep]]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        keep = j > i + guard
+        if closed:  # cyclic neighbourhood of the seam
+            keep &= j < i + (m - guard)
+        if n_held + np.count_nonzero(keep) > _BATCH:
+            yield np.concatenate(held, axis=1)
+            held, n_held = [], 0
+        held.append(np.stack([i[keep], j[keep]]))
+        n_held += held[-1].shape[1]
+    if held:
+        yield np.concatenate(held, axis=1)
 
 
 def _chord_balls(a, b, nlen):
@@ -567,12 +565,11 @@ def _piercings(a, b, normals, nlen, i, j):
     x = line[good] / llen[good, None]
     n1 = normals[i] / nlen[i, None]
     n2 = normals[j] / nlen[j, None]
+    # cross(a, -x) = -cross(a, x) exactly, so the four side products of +x
+    # give those of -x by their signs
+    sides = np.stack([_rowdot(_cross(a[i], x), n1), _rowdot(_cross(x, b[i]), n1),
+                      _rowdot(_cross(a[j], x), n2), _rowdot(_cross(x, b[j]), n2)])
     found = []
-    for s, sign in enumerate((1.0, -1.0)):
-        xs = sign * x
-        inside = (np.einsum("ij,ij->i", _cross(a[i], xs), n1) >= -1e-12) \
-            & (np.einsum("ij,ij->i", _cross(xs, b[i]), n1) >= -1e-12) \
-            & (np.einsum("ij,ij->i", _cross(a[j], xs), n2) >= -1e-12) \
-            & (np.einsum("ij,ij->i", _cross(xs, b[j]), n2) >= -1e-12)
+    for s, inside in enumerate((sides.min(axis=0) >= -1e-12, sides.max(axis=0) <= 1e-12)):
         found.append(np.stack([i[inside], np.full(np.count_nonzero(inside), s), j[inside]]))
     return np.concatenate(found, axis=1)

@@ -643,6 +643,22 @@ def test_main_rejects_rates_that_overflow_the_error_norm(argv, message, tmp_path
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, code", [("1e49", 0), ("1e60", 2)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_rejects_rates_that_overflow_the_geometry(h, code, tmp_path, capsys):
+    # at 1e60 the jets are finite, but torsion's products are the rate to
+    # the sixth power: numpy warned of the overflow, and the run wrote its
+    # artifacts
+    out = tmp_path / "run"
+    assert main(_simulate_argv(out, "--mode", "linear", "--h", h)) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "rate above 1e+50, where its curvature and torsion overflow" in err
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "geometry.csv").is_file()
+
+
 @pytest.mark.parametrize("flag", ["--h", "--H", "--omega", "--modulus", "--gamma1", "--gamma2",
                                   "--req", "--Q", "--d", "--theta0", "--phi0"])
 def test_main_simulate_rejects_a_non_finite_number(flag, tmp_path, capsys):

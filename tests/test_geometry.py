@@ -487,14 +487,92 @@ def test_loops_match_brute_force(case):
 
 
 @pytest.mark.parametrize("case", ["interfering", "closed"])
-def test_loops_do_not_depend_on_strip_and_batch_sizes(case, monkeypatch):
-    # 5-chord strips and 7-pair batches: a flush in nearly every strip, and
-    # batches that split one strip's candidates
+def test_loops_do_not_depend_on_the_batch_size(case, monkeypatch):
+    # 7-pair batches: one ball's run of interval pairs split over many
+    # batches, and the predicate fed a few kept pairs at a time
     ts, p = LOOP_CASES[case]()
     expected = detect_loops(ts, p)
-    monkeypatch.setattr(geometry, "_STRIP", 5)
     monkeypatch.setattr(geometry, "_BATCH", 7)
     assert detect_loops(ts, p) == expected
+
+
+def _sweep_pairs(times, p, max_segments=1500, guard=3):
+    """The chord pairs, as (2, n), that detect_loops's sweep passes to the
+    predicate."""
+    n = len(p)
+    stride = max(1, int(math.ceil((n - 1) / max_segments)))
+    q = p[np.append(np.arange(0, n - 1, stride), n - 1)]
+    a, b = q[:-1], q[1:]
+    normals = np.cross(a, b)
+    nlen = np.linalg.norm(normals, axis=1)
+    centre, radius = geometry._chord_balls(a, b, nlen)
+    closed = np.linalg.norm(q[0] - q[-1]) < 1e-6
+    batches = geometry._candidate_pairs(centre, radius, np.flatnonzero(nlen > 1e-14),
+                                        guard, len(q) - 1, closed)
+    return np.concatenate([np.empty((2, 0), int), *batches], axis=1)
+
+
+SWEEP_CASES = {**LOOP_CASES, "zigzag": lambda: zigzag_polyline(1501)}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_passes_every_pair_the_predicate_accepts(case):
+    ts, p = SWEEP_CASES[case]()
+    for max_segments, guard in ((1500, 3), (400, 0)):
+        _, piercings = _detect_loops_reference(ts, p, max_segments, guard)
+        i, j = _sweep_pairs(ts, p, max_segments, guard)
+        assert {(a, c) for a, _, c in piercings} <= set(zip(i.tolist(), j.tolist()))
+
+
+def test_sweep_passes_each_pair_once_when_every_ball_overlaps():
+    # the zigzag's balls all overlap: 1.1 M pairs, expanded in batches
+    i, j = _sweep_pairs(*zigzag_polyline(1501))
+    m, guard = 1500, 3
+    assert len(i) == (m - guard - 1) * (m - guard) // 2
+    assert np.all(j > i + guard)
+    assert len(np.unique(i * m + j)) == len(i)
+
+
+def _ball_test_reference(centre, radius):
+    """Every pair i < j that the chord-ball test keeps, by brute force."""
+    n = len(radius)
+    i, j = np.triu_indices(n, 1)
+    limit = radius[i] + radius[j]
+    dot = centre[i, 0] * centre[j, 0] + centre[i, 1] * centre[j, 1] \
+        + centre[i, 2] * centre[j, 2]
+    keep = dot >= 1.0 - 0.5 * limit * limit - 1e-14
+    return set(zip(i[keep].tolist(), j[keep].tolist()))
+
+
+def test_sweep_keeps_every_pair_the_ball_test_keeps():
+    # tiny balls along a meridian, 0 to 3e-7 apart: the ball test keeps
+    # pairs up to 1.5e-7 beyond touching, which the sweep's pad must cover;
+    # then balls of every size about the sphere, and two unbounded ones
+    rng = np.random.default_rng(2203)
+    theta = np.cumsum(rng.uniform(0.0, 3e-7, 200))
+    meridian = np.stack([np.cos(theta), np.zeros_like(theta), np.sin(theta)], axis=1)
+    scattered = rng.standard_normal((200, 3))
+    centre = np.concatenate([meridian, scattered / np.linalg.norm(scattered, axis=1)[:, None]])
+    radius = np.concatenate([10.0 ** rng.uniform(-12, -9, 200),
+                             10.0 ** rng.uniform(-4, -0.3, 198), [np.inf, np.inf]])
+    order = rng.permutation(len(radius))
+    centre, radius = centre[order], radius[order]
+    i, j = np.concatenate(list(geometry._candidate_pairs(
+        centre, radius, np.arange(len(radius)), 0, len(radius), False)), axis=1)
+    pairs = set(zip(i.tolist(), j.tolist()))
+    assert len(pairs) == len(i)
+    assert pairs == _ball_test_reference(centre, radius)
+
+
+def test_sweep_intervals_are_closed(monkeypatch):
+    # with no pad, two balls whose z extents meet at one point still pair
+    monkeypatch.setattr(geometry, "_SWEEP_PAD", 0.0)
+    z = 2.0 ** -19
+    centre = np.array([[1.0, 0.0, 0.0], [math.sqrt(1.0 - z * z), 0.0, z]])
+    radius = np.full(2, 2.0 ** -20)
+    assert centre[0, 2] + radius[0] == centre[1, 2] - radius[1]
+    batches = geometry._candidate_pairs(centre, radius, np.arange(2), 0, 2, False)
+    assert [pairs.tolist() for pairs in batches] == [[[0], [1]]]
 
 
 def test_merge_counts_a_vertex_crossing_once():
