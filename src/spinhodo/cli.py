@@ -6,8 +6,9 @@ geometry.csv (diagnostics only), report.json (observed ranges, events,
 caption comparison), plot.gp (gnuplot script over the CSVs).  All numbers
 are emitted with 17 significant digits; runs are fully deterministic.
 
-The method of a solve follows from its drive, and report.json names it
-(`integrator.method`) with the frame of the solve (`integrator.frame`):
+The method of a solve follows from its drive; `_solve` alone picks it and
+the frame, for simulations and closure searches alike, and report.json
+names them (`integrator.method`, `integrator.frame`):
 
 * a qubit drive with h1 = h2 and omega != 0 is solved in the co-rotating
   frame of the qubit module, where the field is (h, 0, (H - omega) dn).  At
@@ -15,7 +16,8 @@ The method of a solve follows from its drive, and report.json names it
   and the solve is one matrix exponential (`integrator.propagate`);
 * any drive of either system at omega = 0 is static in the lab frame and is
   solved the same way;
-* the rest are stepped by DOP853 in the lab frame: a linear drive has no
+* the rest are stepped by DOP853 in the lab frame, if the generators'
+  1-norms times the span sum to at most 1e6: a linear drive has no
   co-rotating field (h2 = 0), an off-resonance drive with k > 0 keeps its
   (H - omega) dn in the frame, and a qutrit drive at omega != 0 is not
   turned into a frame (its d term turns at twice the frame's angle).
@@ -37,7 +39,7 @@ from . import __version__
 from .elliptic import complete_k, sncndn_of
 from .geometry import (count_torsion_sign_changes, detect_cusps, detect_loops,
                        frenet_geometry)
-from .integrator import IntegratorConfig, integrate, propagate, resample_uniform
+from .integrator import IntegratorConfig, integrate, propagate
 from .presets import PRESETS, check_caption_value
 from .qubit import (DampingParams, FieldMode, FieldParams, InitialAngles,
                     analytic_elliptic_resonance, analytic_rabi_general,
@@ -56,6 +58,10 @@ _MAX_SAMPLES = 1_000_001    # grid of a free run: 500 periods, about 0.4 GB in m
 # direction's rate; their bound, about 1e3 rate^6, stays below float64's
 # 1.8e308 up to this rate
 _RATE_MAX = 1e50
+# DOP853 takes about 2 steps per unit of sum_i ||G_i||_1 |t|, a bound on
+# ||M(t)||_1 |t|, at the default tolerances and about 60 us a step: a stepped
+# solve over this budget would run for minutes, and at large amplitudes never end
+_MAX_STEPPED_PHASE = 1e6
 
 
 class UnsupportedAnalytic(ValueError):
@@ -86,32 +92,36 @@ def _range(x):
     return [float(np.nanmin(x)), float(np.nanmax(x))]
 
 
-def _solve(fp, params, generators, make_rhs, y0, duration, cfg, n_out):
-    """Solve y' = M(t) y + b of the drive fp, with (G, b) = generators(fp,
-    params), from y0 onto n_out samples of [0, duration]; returns the
-    trajectory and the method.  A static drive (omega = 0, whose (sn, cn, dn)
-    is (0, 1, 1) for every modulus) is one matrix exponential of
-    M = G0 + G1 + G3; any other drive is stepped by DOP853."""
-    if fp.omega == 0.0:
-        G, b = generators(fp, params)
-        return propagate(G[0] + G[1] + G[3], b, y0, (0.0, duration), n_out=n_out), "propagator"
-    return integrate(make_rhs(fp, params), y0, (0.0, duration), cfg, n_out=n_out), "dop853"
-
-
-def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
-    """A drive with h1 = h2 and omega != 0 whose frame field (h1, 0,
-    (H - omega) dn) is constant, at resonance (H = omega, any k) or for
-    k = 0 (any H), is solved in the co-rotating frame of the qubit module,
-    where it is static, and the grid is turned back to the lab frame; every
-    other drive is solved in the lab frame."""
-    corotating = fp.h1 == fp.h2 and fp.omega != 0.0 and (fp.H == fp.omega or fp.k == 0.0)
+def _solve(system, fp, params, y0, duration, cfg, n_out):
+    """Solve the system's y' = M(t) y + b under the drive fp from y0 onto
+    n_out samples of [0, duration]; returns the lab-frame trajectory, the
+    method and the frame, which no other function picks (module docstring).
+    A drive static in its frame has omega = 0 there, whose (sn, cn, dn) is
+    (0, 1, 1) for every modulus, so M = G0 + G1 + G3."""
+    qubit = system == "qubit"
+    corotating = (qubit and fp.h1 == fp.h2 and fp.omega != 0.0
+                  and (fp.H == fp.omega or fp.k == 0.0))
     solved = FieldParams.circular(fp.h1, fp.H - fp.omega, 0.0) if corotating else fp
-    traj, method = _solve(solved, dp, bloch_generators, make_bloch_rhs, init.bloch(),
-                          duration, cfg, n_out)
+    G, b = (bloch_generators if qubit else qutrit_generators)(solved, params)
+    if solved.omega != 0.0:
+        with np.errstate(over="ignore"):
+            phase = float(np.sum(np.max(np.sum(np.abs(G), axis=1), axis=1))) * abs(duration)
+        if not phase <= _MAX_STEPPED_PHASE:
+            raise ValueError(f"the drive's amplitude times the span, {phase:.3g}, is over "
+                             f"{_MAX_STEPPED_PHASE:.0e}, about {2.0 * phase:.1g} DOP853 steps")
+        make_rhs = make_bloch_rhs if qubit else make_qutrit_rhs_real
+        traj = integrate(make_rhs(solved, params), y0, (0.0, duration), cfg, n_out=n_out)
+        return traj, "dop853", "lab"
+    traj = propagate(G[0] + G[1] + G[3], b, y0, (0.0, duration), n_out=n_out)
     if corotating:
         sn, cn, _ = sncndn_of(fp.k)(fp.omega * traj.times)
         u1, u2, u3 = traj.states.T
         traj.states = np.stack([cn * u1 - sn * u2, sn * u1 + cn * u2, u3], axis=1)
+    return traj, "propagator", "corotating" if corotating else "lab"
+
+
+def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
+    traj, method, frame = _solve("qubit", fp, dp, init.bloch(), duration, cfg, n_out)
     R = traj.states
     lengths = np.linalg.norm(R, axis=1)
     if np.min(lengths) < 1e-12:
@@ -119,7 +129,7 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
     fields = field_at(traj.times, fp)
     flip = (1.0 - R[:, 2]) / 2.0
     return {
-        "traj": traj, "method": method, "frame": "corotating" if corotating else "lab",
+        "traj": traj, "method": method, "frame": frame,
         "p": R / lengths[:, None], "fields": fields,
         "eom": (fp, *bloch_generators(fp, dp)),
         "state_columns": {f"R{i + 1}": R[:, i] for i in range(3)},
@@ -130,15 +140,12 @@ def _simulate_qubit(fp, dp, init, duration, cfg, n_out):
 
 
 def _simulate_qutrit(fp, ap, duration, cfg, n_out):
-    """A static drive (omega = 0) is solved exactly; any other is stepped,
-    since the d term turns at twice the frame's angle and makes no frame
-    static."""
     if fp.h1 == 0.0 and fp.h2 == 0.0:
         raise ValueError("a qutrit run needs a nonzero transverse amplitude h: with "
                          "h = 0 the spin part of q stays on the z axis, so there is "
                          "no hodograph")
-    traj, method = _solve(fp, ap, qutrit_generators, make_qutrit_rhs_real,
-                          bloch8_from_density(initial_density_north()), duration, cfg, n_out)
+    traj, method, frame = _solve("qutrit", fp, ap, bloch8_from_density(initial_density_north()),
+                                 duration, cfg, n_out)
     qs = traj.states
     p = polarization_series(qs)
     if np.any(~np.isfinite(p)):
@@ -147,7 +154,7 @@ def _simulate_qutrit(fp, ap, duration, cfg, n_out):
     pops = dict(zip(("p_plus", "p_zero", "p_minus"), _populations(qs[:, 2], qs[:, 5])))
     fields = field_at(traj.times, fp)
     return {
-        "traj": traj, "method": method, "frame": "lab", "p": p, "fields": fields,
+        "traj": traj, "method": method, "frame": frame, "p": p, "fields": fields,
         "eom": (fp, *qutrit_generators(fp, ap)),
         "state_columns": {f"q{i + 1}": qs[:, i] for i in range(8)},
         "extra_columns": {"P_plus": pops["p_plus"], "P_zero": pops["p_zero"],
@@ -569,18 +576,22 @@ def simulate(system, fp, duration, out_dir=None, dp=None, init=None, ap=None,
 
 def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
                    points_per_period=300):
-    """Enumerate commensurate pairs, compute the closing amplitude, integrate
-    one common period, and report the endpoint-start distance."""
+    """Enumerate commensurate pairs, compute the closing amplitude, solve one
+    common period exactly (the qubit's k = 0 drive is static in its
+    co-rotating frame, the qutrit's is at omega = 0), and report the
+    endpoint-start distance; points_per_period sets the grid of the solve."""
     cfg = default_config()
     if system == "qubit":
         if omega == 0.0:
             raise ValueError("qubit closure search needs a nonzero drive frequency")
+        params = DampingParams()
         y0 = InitialAngles(math.acos(1.0 / math.sqrt(3.0)), 0.0).bloch()
         scale = 1.0
     else:
         if Q == 0.0:
             raise ValueError("qutrit closure search needs a nonzero axial anisotropy Q: "
                              "its common period is 4 pi x/|Q|")
+        params = AnisotropyParams(Q=Q, d=d)
         y0 = bloch8_from_density(initial_density_north())
         scale = math.sqrt(3.0)   # |q(T) - q(0)|/sqrt(3) is the Frobenius distance of rho(T), rho(0)
     rows = []
@@ -588,24 +599,19 @@ def closure_search(system, x_max, y_max, omega=0.0, H=0.0, Q=1.0, d=0.0,
         for y in range(1, y_max + 1):
             if system == "qubit":
                 h = closed_trajectory_amplitude_qubit(x, y, omega, H)
+                period, drive = 2.0 * math.pi * x / abs(omega), (H, omega)
             else:
                 try:
                     h = closed_trajectory_amplitude_qutrit(x, y, Q, d)
                 except ValueError:
                     h = None
+                period, drive = 4.0 * math.pi * x / abs(Q), (0.0, 0.0)
             if h is None:
                 rows.append({"x": x, "y": y, "h": None, "residual": None,
                              "feasible": False})
                 continue
-            if system == "qubit":
-                period = 2.0 * math.pi * x / abs(omega)
-                rhs = make_bloch_rhs(FieldParams.circular(h, H, omega), DampingParams())
-            else:
-                period = 4.0 * math.pi * x / abs(Q)
-                rhs = make_qutrit_rhs_real(FieldParams.circular(h, 0.0, 0.0),
-                                           AnisotropyParams(Q=Q, d=d))
             n = max(64, int(points_per_period * x)) + 1
-            traj = resample_uniform(rhs, n, y0, (0.0, period), cfg)
+            traj = _solve(system, FieldParams.circular(h, *drive), params, y0, period, cfg, n)[0]
             residual = float(np.linalg.norm(traj.states[-1] - traj.states[0])) / scale
             rows.append({"x": x, "y": y, "h": h, "residual": residual,
                          "feasible": True, "period": period})

@@ -20,7 +20,8 @@ coherence vector.  Two output modes are provided:
   blocks of rows, not one step at a time;
 * :func:`resample_uniform` - adaptive stepping clipped to land *exactly*
   on every output time (no interpolation), at one step per output time or
-  more.
+  more.  No caller in the package; it is the exact-landing reference that
+  the tests compare against.
 
 A step holds y, its stages and y_new in one stack and scales one constant
 table [1 | A] by h, so each stage argument y + h (A[i, :i] @ k[:i]) is a

@@ -27,9 +27,7 @@ commute with Rz (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167, 1954).
 At resonance, H = w, that field is the static (h, 0, 0) for every modulus,
 damping and initial state, and R = (cn u1 - sn u2, sn u1 + cn u2, u3).  For
 k = 0, dn = 1 and the field is the static (h, 0, H - w) at any H.  The cli
-solves those drives, and any drive at w = 0, with one matrix exponential;
-linear drives (h2 = 0) and off-resonance drives with k > 0 have no static
-frame here and are stepped.
+solves those drives with one matrix exponential.
 """
 
 import math
@@ -188,25 +186,19 @@ def linear_rhs(fp, G, b):
     M(t) = sum_i w_i G_i over the stack G of shape (4, dim, dim), with
     w = (1, cn, sn, dn) of the drive fp at omega t, is built before it is
     applied: the drive weighs the generators, as field_at the amplitudes, not
-    their products with y.  b, shape (dim,), is added only when nonzero.  A
-    drive at omega = 0 is static: its (sn, cn, dn) is the (0, 1, 1) that the
-    drive returns at argument 0 for every modulus, so M is built once and no
-    call evaluates it (a resonant qubit drive in its co-rotating frame).
+    their products with y.  b, shape (dim,), is added only when nonzero.  At
+    omega = 0 every call still evaluates the drive, (0, 1, 1); the cli solves
+    a drive static in its frame with one matrix exponential and no rhs.
     """
     G = np.asarray(G, dtype=float)
-    M = np.empty(G.shape[1:])   # refilled in place by each call with a drive
+    M = np.empty(G.shape[1:])   # refilled in place by each call
     G, flat = G.reshape(4, -1), M.reshape(-1)
-    np.dot((1.0, 1.0, 0.0, 1.0), G, out=flat)
-    if fp.omega != 0.0:
-        drive, omega, w = sncndn_of(fp.k), fp.omega, np.ones(4)   # w = (1, cn, sn, dn)
+    drive, omega, w = sncndn_of(fp.k), fp.omega, np.ones(4)   # w = (1, cn, sn, dn)
 
-        def rhs(t, y):
-            w[2], w[1], w[3] = drive(omega * t)
-            np.dot(w, G, out=flat)
-            return np.dot(M, y)
-    else:
-        def rhs(t, y):
-            return np.dot(M, y)
+    def rhs(t, y):
+        w[2], w[1], w[3] = drive(omega * t)
+        np.dot(w, G, out=flat)
+        return np.dot(M, y)
 
     if not np.any(b):
         return rhs

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinhodo
-from spinhodo import cli
+from spinhodo import cli, integrator
 from spinhodo.cli import (UnsupportedAnalytic, closure_search, default_config,
                           main, run_preset, simulate)
 from spinhodo.elliptic import complete_k
@@ -23,6 +23,14 @@ from spinhodo.presets import PRESETS
 from spinhodo.qubit import DampingParams, FieldParams, InitialAngles, make_bloch_rhs
 from spinhodo.qutrit import (AnisotropyParams, bloch8_from_density,
                              initial_density_north, make_qutrit_rhs_real)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a right-hand side was built, or DOP853 stepped")
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +318,33 @@ def test_closure_search_qutrit_infeasible_marked():
     assert good[(1, 2)]["residual"] < 1e-5
 
 
+@pytest.mark.parametrize("system, kwargs", [
+    ("qutrit", {"Q": 1.0}), ("qubit", {"omega": 0.3, "H": 0.45}),
+], ids=["qutrit", "qubit"])
+def test_closure_search_takes_no_dop853_step(system, kwargs, monkeypatch):
+    # every DOP853 step, integrate's and resample_uniform's, runs in
+    # integrator._run; both searches are static in the frame of their solve
+    monkeypatch.setattr(cli, "integrate", _refuse)
+    monkeypatch.setattr(integrator, "_run", _refuse)
+    rows = [r for r in closure_search(system, 6 if system == "qutrit" else 4, 4, **kwargs)
+            if r["feasible"]]
+    assert len(rows) >= 10 and max(r["residual"] for r in rows) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(qutrit=st.booleans(), omega=st.one_of(_finite(-5, -0.01), _finite(0.01, 5)),
+       detuning=_finite(-2.9, 2.9), Q=st.one_of(_finite(-5, -0.01), _finite(0.01, 5)))
+def test_closure_search_closes_every_feasible_pair(qutrit, omega, detuning, Q):
+    # the qubit's drive is static in its co-rotating frame, which is back at
+    # the identity after x drive periods; the qutrit's is at omega = 0.  A
+    # pair is feasible where |H - omega| <= (y/x) |omega|, so at some pair
+    # for |H - omega| < 3 |omega|
+    rows = (closure_search("qutrit", 3, 3, Q=Q) if qutrit
+            else closure_search("qubit", 3, 3, omega=omega, H=omega + detuning * abs(omega)))
+    residuals = [r["residual"] for r in rows if r["feasible"]]
+    assert residuals and max(residuals) < 1e-10
+
+
 def test_closure_search_qutrit_rejects_zero_anisotropy():
     with pytest.raises(ValueError, match="axial anisotropy Q"):
         closure_search("qutrit", 2, 2, Q=0.0)
@@ -498,10 +533,6 @@ def test_main_elliptic_natural_period(tmp_path):
 
 # ------------------------------------------------------------------ frame
 
-def _finite(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
 # drives whose field is constant in the frame of their solve, by their
 # amplitudes (h, H), frequency w and modulus k: at resonance (any k) or at
 # k = 0 (any H) in the frame turned by am(wt|k), at w = 0 in the lab frame
@@ -590,6 +621,26 @@ def test_report_names_the_frame_of_the_solve(fp, frame, method):
     assert set(integ) == {"frame", "method"} | (stepped if method == "dop853" else set())
 
 
+# the qutrit's frame is the lab frame, so only its static drives qualify
+@pytest.mark.parametrize("system, drive", [
+    *(("qubit", drive) for drive in sorted(FRAME_CONSTANT_DRIVES)),
+    *(("qutrit", drive) for drive in sorted(FRAME_CONSTANT_DRIVES) if drive.startswith("static")),
+])
+def test_solve_builds_no_rhs_for_a_static_drive(system, drive, monkeypatch):
+    # _solve alone decides that a drive static in its frame is one matrix
+    # exponential
+    monkeypatch.setattr(cli, "make_bloch_rhs", _refuse)
+    monkeypatch.setattr(cli, "make_qutrit_rhs_real", _refuse)
+    fp = FRAME_CONSTANT_DRIVES[drive](0.4, 0.3, 0.7, 0.6)
+    if system == "qutrit":
+        params, y0 = AnisotropyParams(1.0, 0.2), bloch8_from_density(initial_density_north())
+    else:
+        params, y0 = DampingParams(0.1, 0.25, 0.4), InitialAngles(0.6, 0.2).bloch()
+    traj, method, frame = cli._solve(system, fp, params, y0, 5.0, default_config(), 51)
+    assert (method, frame) == ("propagator", "lab" if drive.startswith("static") else "corotating")
+    assert traj.states.shape == (51, len(y0))
+
+
 def test_preset_reports_name_the_frame(fig5_run, fig8_run):
     assert fig5_run[1]["integrator"] == {"method": "propagator", "frame": "corotating"}
     assert fig8_run[1]["integrator"] == {"method": "propagator", "frame": "lab"}
@@ -629,10 +680,10 @@ def test_main_impulse_drive_asks_for_a_duration(tmp_path, capsys):
     (["--system", "qutrit", "--h", "1e200", "--Q", "1"], "overflows"),
     (["--system", "qubit", "--h", "1e-10", "--H", "1e300", "--duration", "1"],
      "float64 cannot resolve the solution"),
-    # DOP853 at the pole: the initial derivative is small, but that of the
-    # trial Euler step overflows the norm
+    # a lab-frame drive of 1e300 over a span of 1 is refused before DOP853
+    # steps (test_integrator.py steps it at the integrator's own guard)
     (["--system", "qubit", "--mode", "elliptic", "--modulus", "0.5", "--h", "1e-10",
-      "--H", "1e300", "--omega", "0.3", "--duration", "1"], "step size underflow"),
+      "--H", "1e300", "--omega", "0.3", "--duration", "1"], "amplitude times the span, 1e+300"),
 ], ids=["h", "gamma1", "qutrit-h", "trial-H", "trial-H-stepped"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_rejects_rates_that_overflow_the_error_norm(argv, message, tmp_path, capsys):
@@ -641,6 +692,19 @@ def test_main_rejects_rates_that_overflow_the_error_norm(argv, message, tmp_path
     code = main(["simulate", *argv, "--out", str(tmp_path / "run")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_refuses_a_stepped_solve_past_its_budget(tmp_path, capsys, monkeypatch):
+    # off resonance with k > 0 DOP853 steps in the lab frame, about 2 steps
+    # per unit of amplitude times span: here about 3e50 steps, which never
+    # ended; a patched integrate makes a regression fail instead of hang
+    monkeypatch.setattr(cli, "integrate", _refuse)
+    out = tmp_path / "run"
+    assert main(_simulate_argv(out, "--mode", "elliptic", "--modulus", "0.5", "--h", "1e49")) == 2
+    err = capsys.readouterr().err
+    assert "amplitude times the span, 1.35e+50, is over 1e+06" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("h, code", [("1e49", 0), ("1e60", 2)])

@@ -209,6 +209,16 @@ def test_overflowing_initial_derivative_rejected(rate):
                   n_out=11)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_trial_derivative_at_the_pole_underflows_the_step():
+    # at the pole the initial derivative is small, but that of the trial
+    # Euler step overflows the norm; the step shrinks until it underflows
+    fp = FieldParams.elliptic(1e-10, 1e300, 0.3, 0.5)
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        integrate(make_bloch_rhs(fp, DampingParams()), np.array([0.0, 0.0, 1.0]), (0.0, 1.0),
+                  n_out=11)
+
+
 @pytest.mark.parametrize("t1", [2.0, -2.0])
 def test_rhs_never_evaluated_past_the_span(t1):
     # a slow solution makes the startup estimate ask for a step of about 1e7;

